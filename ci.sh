@@ -66,21 +66,24 @@ grep -q '"plan_cache"' "$SMOKE" || {
 }
 
 echo "==> serve smoke (bsmp-repro serve: batch protocol + warm plan cache)"
-# One server process, five requests: a malformed line and an unknown
-# engine must each yield a typed error line without killing the batch,
-# and the repeated dnc1 shape must be answered warm (capsule hit) with
-# nonzero plan-cache hits in the summary.  --max-inflight 1 keeps the
-# cold run strictly before its warm repeat.
+# One server process, six requests: a malformed line, an unknown engine
+# and a line nested 10,000 arrays deep must each yield a typed error
+# line without killing the batch, and the repeated dnc1 shape must be
+# answered warm (capsule hit) with nonzero plan-cache hits in the
+# summary.  --max-inflight 1 keeps the cold run strictly before its
+# warm repeat.
 SERVE_OUT="$SCRATCH/serve_smoke.ndjson"
-cargo run --release -q -p bsmp-cli -- serve --max-inflight 1 > "$SERVE_OUT" <<'EOF'
+DEEP="$(printf '%*s' 10000 '' | tr ' ' '[')"
+cargo run --release -q -p bsmp-cli -- serve --max-inflight 1 > "$SERVE_OUT" <<EOF
 {"id": 1, "engine": "dnc1", "n": 64, "m": 16, "steps": 64}
 this line is not a json request
 {"id": 3, "engine": "warp9", "n": 64, "steps": 64}
+$DEEP
 {"id": 4, "engine": "dnc1", "n": 64, "m": 16, "steps": 64, "seed": 99}
 {"id": 5, "engine": "multi2", "n": 256, "m": 4, "p": 4, "steps": 16, "certify": true}
 EOF
-[ "$(grep -c '"kind": "bad_request"' "$SERVE_OUT")" -eq 2 ] || {
-    echo "serve smoke FAILED: want exactly 2 typed bad_request lines" >&2
+[ "$(grep -c '"kind": "bad_request"' "$SERVE_OUT")" -eq 3 ] || {
+    echo "serve smoke FAILED: want exactly 3 typed bad_request lines" >&2
     exit 1
 }
 [ "$(grep -c '"ok": true' "$SERVE_OUT")" -eq 3 ] || {

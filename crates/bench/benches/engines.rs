@@ -5,30 +5,41 @@
 use std::hint::black_box;
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, naive1::simulate_naive1,
-};
+use bsmp::sim::{dnc1, dnc2, multi1, naive1, RunOpts};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp_bench::timing::bench;
 
 fn main() {
+    let life = VonNeumannLife::fredkin();
     let n = 128u64;
     let init = inputs::random_bits(1, n as usize);
 
     {
         let spec = MachineSpec::new(1, n, 1, 1);
         bench("engines/naive1_n128_T128", 10, || {
-            black_box(simulate_naive1(&spec, &Eca::rule110(), &init, n as i64).host_time)
+            black_box(
+                naive1::run(&spec, &Eca::rule110(), &init, n as i64, RunOpts::default())
+                    .unwrap()
+                    .host_time,
+            )
         });
         bench("engines/dnc1_n128_T128", 10, || {
-            black_box(simulate_dnc1(&spec, &Eca::rule110(), &init, n as i64).host_time)
+            black_box(
+                dnc1::run(&spec, &Eca::rule110(), &init, n as i64, RunOpts::default())
+                    .unwrap()
+                    .host_time,
+            )
         });
     }
 
     {
         let spec = MachineSpec::new(1, n, 4, 1);
         bench("engines/multi1_n128_p4_T128", 10, || {
-            black_box(simulate_multi1(&spec, &Eca::rule110(), &init, n as i64).host_time)
+            black_box(
+                multi1::run(&spec, &Eca::rule110(), &init, n as i64, RunOpts::default())
+                    .unwrap()
+                    .host_time,
+            )
         });
     }
 
@@ -36,7 +47,11 @@ fn main() {
         let spec = MachineSpec::new(2, 256, 1, 1);
         let init2 = inputs::random_bits(2, 256);
         bench("engines/dnc2_16x16_T16", 10, || {
-            black_box(simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init2, 16).host_time)
+            black_box(
+                dnc2::run(&spec, &life, &init2, 16, RunOpts::default())
+                    .unwrap()
+                    .host_time,
+            )
         });
     }
 }

@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi1::simulate_multi1, naive1::simulate_naive1, naive2::simulate_naive2};
+use bsmp::sim::{multi1, naive1, naive2, RunOpts};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 
 fn median(iters: u32, mut f: impl FnMut() -> f64) -> f64 {
@@ -41,6 +41,7 @@ fn row(name: &str, points: u64, iters: u32, f: impl FnMut() -> f64) {
 }
 
 fn main() {
+    let life = VonNeumannLife::fredkin();
     let iters: u32 = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("iters must be a number"))
@@ -57,7 +58,11 @@ fn main() {
             &format!("naive1_n{n}_p16_T512"),
             n * t as u64,
             iters,
-            || simulate_naive1(&spec, &Eca::rule110(), &init, t).host_time,
+            || {
+                naive1::run(&spec, &Eca::rule110(), &init, t, RunOpts::default())
+                    .unwrap()
+                    .host_time
+            },
         );
     }
     for n in [1024u64, 4096, 16384] {
@@ -65,7 +70,9 @@ fn main() {
         let spec = MachineSpec::new(1, n, 16, 1);
         let t = 64i64;
         row(&format!("multi1_n{n}_p16_T64"), n * t as u64, iters, || {
-            simulate_multi1(&spec, &Eca::rule110(), &init, t).host_time
+            multi1::run(&spec, &Eca::rule110(), &init, t, RunOpts::default())
+                .unwrap()
+                .host_time
         });
     }
 
@@ -79,7 +86,11 @@ fn main() {
             &format!("naive2_{side}x{side}_p16_T64"),
             n * t as u64,
             iters,
-            || simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, t).host_time,
+            || {
+                naive2::run(&spec, &life, &init, t, RunOpts::default())
+                    .unwrap()
+                    .host_time
+            },
         );
     }
 }

@@ -7,7 +7,7 @@ use crate::Scale;
 use bsmp::analytic::extensions::{locality_slowdown_d3, pipelined_inflight};
 use bsmp::geometry::domain3::Domain3;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{naive1::simulate_naive1, pipelined1::simulate_pipelined1};
+use bsmp::sim::{naive1, pipelined1, RunOpts};
 use bsmp::workloads::{inputs, Eca};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -80,8 +80,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let n = (side * side * side) as f64;
         let init = inputs::random_bits(side as u64, side * side * side);
         let prog = bsmp::workloads::Parity3d;
-        let d = bsmp::sim::dnc3::simulate_dnc3(side, &prog, &init, side as i64);
-        let v = bsmp::sim::dnc3::simulate_naive3(side, &prog, &init, side as i64);
+        let d = bsmp::sim::dnc3::run(side, &prog, &init, side as i64, RunOpts::default()).unwrap();
+        let v =
+            bsmp::sim::naive3::run(side, &prog, &init, side as i64, RunOpts::default()).unwrap();
         t1b.row(vec![
             side.to_string(),
             fnum(n),
@@ -115,8 +116,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for p in [2u64, 4, 8, 16] {
         let init = inputs::random_bits(90 + p, n as usize);
         let spec = MachineSpec::new(1, n, p, 1);
-        let pip = simulate_pipelined1(&spec, &Eca::rule110(), &init, steps);
-        let nav = simulate_naive1(&spec, &Eca::rule110(), &init, steps);
+        let pip =
+            pipelined1::run(&spec, &Eca::rule110(), &init, steps, RunOpts::default()).unwrap();
+        let nav = naive1::run(&spec, &Eca::rule110(), &init, steps, RunOpts::default()).unwrap();
         t2.row(vec![
             p.to_string(),
             (n / p).to_string(),

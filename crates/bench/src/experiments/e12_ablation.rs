@@ -8,11 +8,12 @@
 use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::dnc1::simulate_dnc1_with_leaf;
-use bsmp::sim::dnc2::simulate_dnc2_with_leaf;
+use bsmp::sim::dnc2;
+use bsmp::sim::{dnc1, RunOpts};
 use bsmp::workloads::{inputs, CyclicWave, Eca, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
+    let life = VonNeumannLife::fredkin();
     // (a) m = 1: leaf radius sweep on the diamond executor.
     let n: u64 = match scale {
         Scale::Quick => 128,
@@ -27,7 +28,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (n / 4) as i64 {
-        let r = simulate_dnc1_with_leaf(&spec, &Eca::rule110(), &init, n as i64, h);
+        let opts = RunOpts::default().leaf(h);
+        let r = dnc1::run(&spec, &Eca::rule110(), &init, n as i64, opts).unwrap();
         results.push((h, r.host_time));
         h *= 4;
     }
@@ -53,7 +55,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (n / 4) as i64 {
-        let r = simulate_dnc1_with_leaf(&specm, &CyclicWave::new(m), &initm, (n / 2) as i64, h);
+        let opts = RunOpts::default().leaf(h);
+        let r = dnc1::run(&specm, &CyclicWave::new(m), &initm, (n / 2) as i64, opts).unwrap();
         results.push((h, r.host_time));
         h *= 2;
     }
@@ -90,7 +93,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut results = Vec::new();
     let mut h = 1i64;
     while h <= (side / 2) as i64 {
-        let r = simulate_dnc2_with_leaf(&spec2, &VonNeumannLife::fredkin(), &init2, side as i64, h);
+        let opts = RunOpts::default().leaf(h);
+        let r = dnc2::run(&spec2, &life, &init2, side as i64, opts).unwrap();
         results.push((h, r.host_time));
         h *= 2;
     }

@@ -7,7 +7,7 @@
 use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi1, naive1};
+use bsmp::sim::{run_linear, Engine, RunOpts};
 use bsmp::workloads::{inputs, Eca};
 use bsmp::FaultPlan;
 
@@ -32,21 +32,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "output = guest",
         ],
     );
-    for (name, runner) in [
-        (
-            "naive1",
-            run_naive as fn(&MachineSpec, &Eca, &[u64], i64, &FaultPlan) -> bsmp::SimReport,
-        ),
-        ("multi1", run_multi),
-    ] {
-        let base = runner(&spec, &prog, &init, steps, &FaultPlan::none());
+    let run = |engine, plan| {
+        let opts = RunOpts::default().plan(plan);
+        run_linear(engine, &spec, &prog, &init, steps, opts).expect("valid parameters")
+    };
+    for engine in [Engine::Naive1, Engine::Multi1] {
+        let base = run(engine, FaultPlan::none());
         for nu in [1.0f64, 2.0, 4.0] {
-            let rep = runner(&spec, &prog, &init, steps, &FaultPlan::uniform_slowdown(nu));
+            let rep = run(engine, FaultPlan::uniform_slowdown(nu));
             let ratio = rep.host_time / base.host_time;
             let ok = rep.host_time <= nu * base.host_time + 1e-6;
             let matches = rep.check_matches(&base.mem, &base.values).is_ok();
             t.row(vec![
-                name.to_string(),
+                engine.to_string(),
                 fnum(nu),
                 fnum(rep.host_time),
                 fnum(ratio),
@@ -72,7 +70,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "T_p/T_p(clean)",
         ],
     );
-    let clean = run_naive(&spec, &prog, &init, steps, &FaultPlan::none());
+    let clean = run(Engine::Naive1, FaultPlan::none());
     for (label, plan) in [
         (
             "loss 100‰ (≤3 retries)",
@@ -89,7 +87,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 .random_crashes(20),
         ),
     ] {
-        let rep = run_naive(&spec, &prog, &init, steps, &plan);
+        let rep = run(Engine::Naive1, plan);
         t2.row(vec![
             label.to_string(),
             rep.faults.retries.to_string(),
@@ -104,24 +102,4 @@ pub fn run(scale: Scale) -> Vec<Table> {
          always match direct guest execution.",
     );
     vec![t, t2]
-}
-
-fn run_naive(
-    spec: &MachineSpec,
-    prog: &Eca,
-    init: &[u64],
-    steps: i64,
-    plan: &FaultPlan,
-) -> bsmp::SimReport {
-    naive1::try_simulate_naive1_faulted(spec, prog, init, steps, plan).expect("valid parameters")
-}
-
-fn run_multi(
-    spec: &MachineSpec,
-    prog: &Eca,
-    init: &[u64],
-    steps: i64,
-    plan: &FaultPlan,
-) -> bsmp::SimReport {
-    multi1::try_simulate_multi1_faulted(spec, prog, init, steps, plan).expect("valid parameters")
 }

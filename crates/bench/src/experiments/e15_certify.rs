@@ -37,7 +37,7 @@ fn sweep(title: String, plan: &FaultPlan) -> Table {
             Ok((_, cert)) => t.row(vec![
                 case.engine.to_string(),
                 case.regime.to_string(),
-                case.d.to_string(),
+                case.engine.dim().to_string(),
                 case.n.to_string(),
                 case.m.to_string(),
                 case.p.to_string(),
@@ -52,7 +52,7 @@ fn sweep(title: String, plan: &FaultPlan) -> Table {
             Err(e) => t.row(vec![
                 case.engine.to_string(),
                 case.regime.to_string(),
-                case.d.to_string(),
+                case.engine.dim().to_string(),
                 case.n.to_string(),
                 case.m.to_string(),
                 case.p.to_string(),

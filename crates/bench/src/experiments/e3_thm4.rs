@@ -6,7 +6,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::locality_slowdown;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi1::simulate_multi1, naive1::simulate_naive1};
+use bsmp::sim::{multi1, naive1, RunOpts};
 use bsmp::workloads::{inputs, CyclicWave, Eca};
 use bsmp::LinearProgram;
 
@@ -26,14 +26,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let spec = MachineSpec::new(1, n, p, m as u64);
         let steps = (n / 2) as i64;
         let r = if m == 1 {
-            simulate_multi1(
-                &spec,
-                &Eca::rule110(),
-                &inputs::random_bits(77, n as usize),
-                steps,
-            )
+            let bits = inputs::random_bits(77, n as usize);
+            multi1::run(&spec, &Eca::rule110(), &bits, steps, RunOpts::default()).unwrap()
         } else {
-            simulate_multi1(&spec, &CyclicWave::new(m), &init, steps)
+            multi1::run(&spec, &CyclicWave::new(m), &init, steps, RunOpts::default()).unwrap()
         };
         let a_meas = r.locality_slowdown(n, p);
         let a_th = locality_slowdown(1, n as f64, m as f64, p as f64);
@@ -64,8 +60,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let init = inputs::random_bits(nn, nn as usize);
         let spec = MachineSpec::new(1, nn, p, 1);
         let steps = (nn / 4) as i64;
-        let two = simulate_multi1(&spec, &Eca::rule90(), &init, steps);
-        let nv = simulate_naive1(&spec, &Eca::rule90(), &init, steps);
+        let two = multi1::run(&spec, &Eca::rule90(), &init, steps, RunOpts::default()).unwrap();
+        let nv = naive1::run(&spec, &Eca::rule90(), &init, steps, RunOpts::default()).unwrap();
         let (a2, an) = (two.locality_slowdown(nn, p), nv.locality_slowdown(nn, p));
         if let Some((p2, pn)) = prev {
             growths.push((a2 / p2, an / pn));

@@ -5,10 +5,11 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::logp2;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc2::simulate_dnc2, naive2::simulate_naive2};
+use bsmp::sim::{dnc2, naive2, RunOpts};
 use bsmp::workloads::{inputs, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
+    let life = VonNeumannLife::fredkin();
     let sides: &[u64] = match scale {
         Scale::Quick => &[8, 16],
         Scale::Full => &[8, 16, 32],
@@ -28,8 +29,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let n = side * side;
         let init = inputs::random_bits(side, n as usize);
         let spec = MachineSpec::new(2, n, 1, 1);
-        let d = simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
-        let v = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
+        let d = dnc2::run(&spec, &life, &init, side as i64, RunOpts::default()).unwrap();
+        let v = naive2::run(&spec, &life, &init, side as i64, RunOpts::default()).unwrap();
         let nf = n as f64;
         t.row(vec![
             side.to_string(),

@@ -5,10 +5,11 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::locality_slowdown;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{multi2::simulate_multi2, naive2::simulate_naive2};
+use bsmp::sim::{multi2, naive2, RunOpts};
 use bsmp::workloads::{inputs, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
+    let life = VonNeumannLife::fredkin();
     let (sides, ps): (&[u64], &[u64]) = match scale {
         Scale::Quick => (&[16, 32], &[4]),
         Scale::Full => (&[16, 32, 64], &[4, 16]),
@@ -34,8 +35,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let init = inputs::random_bits(side + p, n as usize);
             let spec = MachineSpec::new(2, n, p, 1);
             let steps = (side / 2) as i64;
-            let two = simulate_multi2(&spec, &VonNeumannLife::fredkin(), &init, steps);
-            let nv = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, steps);
+            let two = multi2::run(&spec, &life, &init, steps, RunOpts::default()).unwrap();
+            let nv = naive2::run(&spec, &life, &init, steps, RunOpts::default()).unwrap();
             let (a2, an) = (two.locality_slowdown(n, p), nv.locality_slowdown(n, p));
             t.row(vec![
                 side.to_string(),

@@ -5,7 +5,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::matmul;
 use bsmp::machine::{run_mesh, MachineSpec};
-use bsmp::sim::{dnc2::simulate_dnc2, naive2::simulate_naive2};
+use bsmp::sim::{dnc2, naive2, RunOpts};
 use bsmp::workloads::{inputs, SystolicMatmul};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -54,8 +54,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let init = prog.stage_inputs(&a, &b);
         let spec = MachineSpec::new(2, n, 1, (side + 1) as u64);
         let guest = run_mesh(&spec, &prog, &init, prog.steps());
-        let naive = simulate_naive2(&spec, &prog, &init, prog.steps());
-        let dnc = simulate_dnc2(&spec, &prog, &init, prog.steps());
+        let naive = naive2::run(&spec, &prog, &init, prog.steps(), RunOpts::default()).unwrap();
+        let dnc = dnc2::run(&spec, &prog, &init, prog.steps(), RunOpts::default()).unwrap();
         naive.assert_matches(&guest.mem, &guest.values);
         dnc.assert_matches(&guest.mem, &guest.values);
         t2.row(vec![

@@ -7,10 +7,11 @@ use crate::Scale;
 use bsmp::analytic::logp2;
 use bsmp::dag::separator::{iterate_recurrence, SeparatorSpec, SpaceTimeBounds};
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1::simulate_dnc1, dnc2::simulate_dnc2};
+use bsmp::sim::{dnc1, dnc2, RunOpts};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 
 pub fn run(scale: Scale) -> Vec<Table> {
+    let life = VonNeumannLife::fredkin();
     // d = 1: γ = 1/2, α = 1.
     let sizes: &[u64] = match scale {
         Scale::Quick => &[64, 128, 256],
@@ -30,7 +31,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for &n in sizes {
         let init = inputs::random_bits(n, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        let r = simulate_dnc1(&spec, &Eca::rule90(), &init, n as i64);
+        let r = dnc1::run(&spec, &Eca::rule90(), &init, n as i64, RunOpts::default()).unwrap();
         let k = (n * n) as f64;
         t1.row(vec![
             n.to_string(),
@@ -67,7 +68,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let n = side * side;
         let init = inputs::random_bits(side, n as usize);
         let spec = MachineSpec::new(2, n, 1, 1);
-        let r = simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
+        let r = dnc2::run(&spec, &life, &init, side as i64, RunOpts::default()).unwrap();
         let k = (n * side) as f64;
         t2.row(vec![
             side.to_string(),

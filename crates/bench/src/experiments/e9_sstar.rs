@@ -7,7 +7,7 @@ use crate::table::{fnum, Table};
 use crate::Scale;
 use bsmp::analytic::{lambda, optimal_s, theorem4::minimize_lambda};
 use bsmp::machine::MachineSpec;
-use bsmp::sim::multi1::{simulate_multi1_opt, Multi1Options};
+use bsmp::sim::{multi1, RunOpts};
 use bsmp::workloads::{inputs, CyclicWave};
 
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -60,16 +60,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut s = 2u64;
     while s <= nn / pp {
         if nn % s == 0 && (nn / s).is_multiple_of(pp) {
-            let r = simulate_multi1_opt(
-                &spec,
-                &CyclicWave::new(mm),
-                &init,
-                (nn / 2) as i64,
-                Multi1Options {
-                    strip: Some(s),
-                    ..Multi1Options::default()
-                },
-            );
+            let opts = RunOpts::default().strip(s);
+            let r = multi1::run(&spec, &CyclicWave::new(mm), &init, (nn / 2) as i64, opts).unwrap();
             let l = lambda(nn as f64, mm as f64, pp as f64, s as f64);
             t2.row(vec![
                 s.to_string(),

@@ -22,18 +22,10 @@
 //! covered by the test suite.
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{
-    dnc1::simulate_dnc1,
-    dnc2::simulate_dnc2,
-    dnc3::{simulate_dnc3, simulate_naive3},
-    multi1::simulate_multi1,
-    multi2::simulate_multi2,
-    naive1::simulate_naive1,
-    naive2::simulate_naive2,
-    pipelined1::simulate_pipelined1,
-};
+use bsmp::sim::{run_linear, run_mesh, run_volume, Engine, RunOpts};
+use bsmp::trace::json::{escape, num, parse, Val};
 use bsmp::workloads::{inputs, Eca, Parity3d, TokenShift, VonNeumannLife};
-use bsmp::{CoreKind, Simulation, Strategy};
+use bsmp::{CoreKind, SimReport, Simulation, Strategy};
 
 use crate::timing::{measure, Measurement};
 
@@ -95,21 +87,21 @@ impl PerfCase {
     }
 }
 
-/// Probe once (for the deterministic counters), then measure.
+/// Probe once (for the deterministic table-hit counter), then measure.
 fn case(
     name: &'static str,
     points: u64,
     gated: bool,
     iters: u32,
-    mut f: impl FnMut() -> (f64, u64),
+    mut f: impl FnMut() -> SimReport,
 ) -> PerfCase {
-    let (_, table_hits) = f();
+    let table_hits = f().meter.table_hits;
     PerfCase {
         name,
         points,
         gated,
         table_hits,
-        m: measure(iters, || f().0),
+        m: measure(iters, || f().host_time),
     }
 }
 
@@ -118,84 +110,70 @@ fn case(
 /// engines (`0` = auto).
 pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
     let mut cases = Vec::new();
+    let line = |engine, spec: &MachineSpec, init: &[u64], t| {
+        run_linear(engine, spec, &Eca::rule110(), init, t, RunOpts::default()).unwrap()
+    };
+    let mesh = |engine, spec: &MachineSpec, init: &[u64], t| {
+        let life = VonNeumannLife::fredkin();
+        run_mesh(engine, spec, &life, init, t, RunOpts::default()).unwrap()
+    };
+    let naive = |d: u8, n: u64, p: u64| {
+        let sim = match d {
+            1 => Simulation::linear(n, p, 1),
+            _ => Simulation::mesh(n, p, 1),
+        };
+        sim.strategy(Strategy::Naive).threads(threads)
+    };
 
     // ---- d = 1, quick scale (continuity with the v1 baseline) ----
     let n = 128u64;
     let init = inputs::random_bits(1, n as usize);
-    {
-        let spec = MachineSpec::new(1, n, 1, 1);
-        // Not gated: a sub-millisecond serial reference at demo scale —
-        // its median is timer-granularity noise on a loaded host; the
-        // n = 4096 serial twin below is the meaningful serial figure.
-        cases.push(case("naive1_n128_p1_T128", n * n, false, iters, || {
-            let r = simulate_naive1(&spec, &Eca::rule110(), &init, n as i64);
-            (r.host_time, r.meter.table_hits)
-        }));
-        cases.push(case("dnc1_n128_T128", n * n, true, iters, || {
-            let r = simulate_dnc1(&spec, &Eca::rule110(), &init, n as i64);
-            (r.host_time, r.meter.table_hits)
-        }));
-    }
-    {
-        // Through the façade so the `--threads` budget is honored; q =
-        // 32 stays under the pool gate (kept for baseline continuity).
-        // Not gated: under the pool gate this runs serially anyway, and
-        // at demo scale the iteration is too short to gate reliably —
-        // naive1_n4096_p16_T512 carries the tiled-parallel gate.
-        let sim = Simulation::linear(n, 4, 1)
-            .strategy(Strategy::Naive)
-            .threads(threads);
-        cases.push(case("naive1_n128_p4_T128", n * n, false, iters, || {
-            let r = sim.run(&Eca::rule110(), &init, n as i64).sim;
-            (r.host_time, r.meter.table_hits)
-        }));
-        let spec = MachineSpec::new(1, n, 4, 1);
-        cases.push(case("multi1_n128_p4_T128", n * n, true, iters, || {
-            let r = simulate_multi1(&spec, &Eca::rule110(), &init, n as i64);
-            (r.host_time, r.meter.table_hits)
-        }));
-    }
+    let (uni, spec4) = (MachineSpec::new(1, n, 1, 1), MachineSpec::new(1, n, 4, 1));
+    // Not gated: a sub-millisecond serial reference at demo scale — its
+    // median is timer-granularity noise on a loaded host; the n = 4096
+    // serial twin below is the meaningful serial figure.
+    cases.push(case("naive1_n128_p1_T128", n * n, false, iters, || {
+        line(Engine::Naive1, &uni, &init, n as i64)
+    }));
+    cases.push(case("dnc1_n128_T128", n * n, true, iters, || {
+        line(Engine::Dnc1, &uni, &init, n as i64)
+    }));
+    // Through the façade so the `--threads` budget is honored; q = 32
+    // stays under the pool gate (kept for baseline continuity).  Not
+    // gated: under the pool gate this runs serially anyway, and at demo
+    // scale the iteration is too short to gate reliably —
+    // naive1_n4096_p16_T512 carries the tiled-parallel gate.
+    let sim = naive(1, n, 4);
+    cases.push(case("naive1_n128_p4_T128", n * n, false, iters, || {
+        sim.run(&Eca::rule110(), &init, n as i64).sim
+    }));
+    cases.push(case("multi1_n128_p4_T128", n * n, true, iters, || {
+        line(Engine::Multi1, &spec4, &init, n as i64)
+    }));
 
     // ---- d = 1, pool-gate-crossing scale (q = 256 at p = 16) ----
-    {
-        let n = 4096u64;
-        let t = 512i64;
-        let init = inputs::random_bits(3, n as usize);
-        let pts = n * t as u64;
-        let sim = Simulation::linear(n, 16, 1)
-            .strategy(Strategy::Naive)
-            .threads(threads);
-        cases.push(case("naive1_n4096_p16_T512", pts, true, iters, || {
-            let r = sim.run(&Eca::rule110(), &init, t).sim;
-            (r.host_time, r.meter.table_hits)
-        }));
-        let spec1 = MachineSpec::new(1, n, 1, 1);
-        // Not gated: the serial twin of the gated p = 16 case, kept so
-        // the parallel speedup can be read off the document.  Gating
-        // both would double-count the same kernel; the p = 16 case is
-        // the one whose regression would mean a real engine fault.
-        cases.push(case("naive1_n4096_p1_T512", pts, false, iters, || {
-            let r = simulate_naive1(&spec1, &Eca::rule110(), &init, t);
-            (r.host_time, r.meter.table_hits)
-        }));
-        let spec16 = MachineSpec::new(1, n, 16, 1);
-        // Gated: within-run medians hold to a few percent on this case.
-        cases.push(case("pipelined1_n4096_p16_T512", pts, true, iters, || {
-            let r = simulate_pipelined1(&spec16, &Eca::rule110(), &init, t);
-            (r.host_time, r.meter.table_hits)
-        }));
-        let t64 = 64i64;
-        cases.push(case(
-            "multi1_n4096_p16_T64",
-            n * t64 as u64,
-            true,
-            iters,
-            || {
-                let r = simulate_multi1(&spec16, &Eca::rule110(), &init, t64);
-                (r.host_time, r.meter.table_hits)
-            },
-        ));
-    }
+    let (n, t) = (4096u64, 512i64);
+    let init = inputs::random_bits(3, n as usize);
+    let pts = n * t as u64;
+    let (uni, spec16) = (MachineSpec::new(1, n, 1, 1), MachineSpec::new(1, n, 16, 1));
+    let sim = naive(1, n, 16);
+    cases.push(case("naive1_n4096_p16_T512", pts, true, iters, || {
+        sim.run(&Eca::rule110(), &init, t).sim
+    }));
+    // Not gated: the serial twin of the gated p = 16 case, kept so the
+    // parallel speedup can be read off the document.  Gating both would
+    // double-count the same kernel; the p = 16 case is the one whose
+    // regression would mean a real engine fault.
+    cases.push(case("naive1_n4096_p1_T512", pts, false, iters, || {
+        line(Engine::Naive1, &uni, &init, t)
+    }));
+    // Gated: within-run medians hold to a few percent on this case.
+    cases.push(case("pipelined1_n4096_p16_T512", pts, true, iters, || {
+        line(Engine::Pipelined1, &spec16, &init, t)
+    }));
+    cases.push(case("multi1_n4096_p16_T64", n * 64, true, iters, || {
+        line(Engine::Multi1, &spec16, &init, 64)
+    }));
 
     // ---- d = 1, event core (sparse frontier, one-hot token) ----
     // The calendar-queue core pays per *active* point, so a one-hot
@@ -207,112 +185,89 @@ pub fn run_engine_suite(threads: usize, iters: u32) -> Vec<PerfCase> {
         ("naive1ev_n65536_p16_T512", 1u64 << 16),
         ("naive1ev_n1048576_p16_T512", 1u64 << 20),
     ] {
-        let t = 512i64;
         let mut hot = vec![0u64; n as usize];
         hot[(n / 2) as usize] = 1;
-        let sim = Simulation::linear(n, 16, 1)
-            .strategy(Strategy::Naive)
-            .threads(threads)
-            .core(CoreKind::Event);
-        cases.push(case(name, n * t as u64, true, iters, move || {
-            let r = sim.run(&TokenShift::new(0), &hot, t).sim;
-            (r.host_time, r.meter.table_hits)
+        let sim = naive(1, n, 16).core(CoreKind::Event);
+        cases.push(case(name, n * 512, true, iters, move || {
+            sim.run(&TokenShift::new(0), &hot, 512).sim
         }));
     }
 
     // ---- d = 2, quick scale (continuity) ----
-    {
-        let init2 = inputs::random_bits(2, 256);
-        let spec = MachineSpec::new(2, 256, 16, 1);
-        let sim = Simulation::mesh(256, 16, 1)
-            .strategy(Strategy::Naive)
-            .threads(threads);
-        // Not gated (nor is its `_serial` twin below): a 16×16 mesh for
-        // 16 steps finishes in microseconds, pure timer noise under the
-        // gate; the pair exists to diff façade vs direct-call overhead.
-        // dnc2/multi2 at 32×32 carry the d = 2 gates.
-        cases.push(case("naive2_16x16_p16_T16", 256 * 16, false, iters, || {
-            let r = sim.run_mesh(&VonNeumannLife::fredkin(), &init2, 16).sim;
-            (r.host_time, r.meter.table_hits)
-        }));
-        let spec1 = MachineSpec::new(2, 256, 1, 1);
-        cases.push(case("dnc2_16x16_T16", 256 * 16, true, iters, || {
-            let r = simulate_dnc2(&spec1, &VonNeumannLife::fredkin(), &init2, 16);
-            (r.host_time, r.meter.table_hits)
-        }));
-        cases.push(case(
-            "naive2_16x16_p16_T16_serial",
-            256 * 16,
-            false,
-            iters,
-            || {
-                let r = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init2, 16);
-                (r.host_time, r.meter.table_hits)
-            },
-        ));
-    }
+    let init = inputs::random_bits(2, 256);
+    let (uni, spec16) = (
+        MachineSpec::new(2, 256, 1, 1),
+        MachineSpec::new(2, 256, 16, 1),
+    );
+    let sim = naive(2, 256, 16);
+    // Not gated (nor is its `_serial` twin below): a 16×16 mesh for 16
+    // steps finishes in microseconds, pure timer noise under the gate;
+    // the pair exists to diff façade vs direct-call overhead.  dnc2 and
+    // multi2 at 32×32 carry the d = 2 gates.
+    cases.push(case("naive2_16x16_p16_T16", 256 * 16, false, iters, || {
+        sim.run_mesh(&VonNeumannLife::fredkin(), &init, 16).sim
+    }));
+    cases.push(case("dnc2_16x16_T16", 256 * 16, true, iters, || {
+        mesh(Engine::Dnc2, &uni, &init, 16)
+    }));
+    cases.push(case(
+        "naive2_16x16_p16_T16_serial",
+        256 * 16,
+        false,
+        iters,
+        || mesh(Engine::Naive2, &spec16, &init, 16),
+    ));
 
     // ---- d = 2, pool-gate-crossing scale (b = 16, q = 256 at p = 16) ----
-    {
-        let init2 = inputs::random_bits(4, 64 * 64);
-        let sim = Simulation::mesh(64 * 64, 16, 1)
-            .strategy(Strategy::Naive)
-            .threads(threads);
-        // Not gated: this case is bimodal on shared containers (observed
-        // 71–136 M points/s across otherwise-identical runs), so an 80%
-        // gate against a good run flakes.  naive1_n4096 holds within
-        // ~15% on the same host and carries the gate instead.
-        cases.push(case(
-            "naive2_64x64_p16_T64",
-            64 * 64 * 64,
-            false,
-            iters,
-            || {
-                let r = sim.run_mesh(&VonNeumannLife::fredkin(), &init2, 64).sim;
-                (r.host_time, r.meter.table_hits)
-            },
-        ));
-        let init32 = inputs::random_bits(5, 32 * 32);
-        let spec1 = MachineSpec::new(2, 32 * 32, 1, 1);
-        cases.push(case("dnc2_32x32_T32", 32 * 32 * 32, true, iters, || {
-            let r = simulate_dnc2(&spec1, &VonNeumannLife::fredkin(), &init32, 32);
-            (r.host_time, r.meter.table_hits)
-        }));
-        let spec4 = MachineSpec::new(2, 32 * 32, 4, 1);
-        cases.push(case(
-            "multi2_32x32_p4_T32",
-            32 * 32 * 32,
-            true,
-            iters,
-            || {
-                let r = simulate_multi2(&spec4, &VonNeumannLife::fredkin(), &init32, 32);
-                (r.host_time, r.meter.table_hits)
-            },
-        ));
-    }
+    let init = inputs::random_bits(4, 64 * 64);
+    let sim = naive(2, 64 * 64, 16);
+    // Not gated: this case is bimodal on shared containers (observed
+    // 71–136 M points/s across otherwise-identical runs), so an 80% gate
+    // against a good run flakes.  naive1_n4096 holds within ~15% on the
+    // same host and carries the gate instead.
+    cases.push(case(
+        "naive2_64x64_p16_T64",
+        64 * 64 * 64,
+        false,
+        iters,
+        || sim.run_mesh(&VonNeumannLife::fredkin(), &init, 64).sim,
+    ));
+    let init = inputs::random_bits(5, 32 * 32);
+    let (uni, spec4) = (
+        MachineSpec::new(2, 32 * 32, 1, 1),
+        MachineSpec::new(2, 32 * 32, 4, 1),
+    );
+    cases.push(case("dnc2_32x32_T32", 32 * 32 * 32, true, iters, || {
+        mesh(Engine::Dnc2, &uni, &init, 32)
+    }));
+    cases.push(case(
+        "multi2_32x32_p4_T32",
+        32 * 32 * 32,
+        true,
+        iters,
+        || mesh(Engine::Multi2, &spec4, &init, 32),
+    ));
 
     // ---- d = 3 ----
-    {
-        let init3 = inputs::random_bits(6, 16 * 16 * 16);
-        // Not gated: the serial volume reference; dnc3_12c_T12 below is
-        // the d = 3 engine whose regression the gate must catch, and a
-        // 16³ naive sweep is short enough to be timer-noise bound.
-        cases.push(case(
-            "naive3_16c_T16",
-            16 * 16 * 16 * 16,
-            false,
-            iters,
-            || {
-                let r = simulate_naive3(16, &Parity3d, &init3, 16);
-                (r.host_time, r.meter.table_hits)
-            },
-        ));
-        let init3b = inputs::random_bits(7, 12 * 12 * 12);
-        cases.push(case("dnc3_12c_T12", 12 * 12 * 12 * 12, true, iters, || {
-            let r = simulate_dnc3(12, &Parity3d, &init3b, 12);
-            (r.host_time, r.meter.table_hits)
-        }));
-    }
+    let cube = |engine, side: usize, init: &[u64]| {
+        let opts = RunOpts::default();
+        run_volume(engine, side, &Parity3d, init, side as i64, opts).unwrap()
+    };
+    // Not gated: the serial volume reference; dnc3_12c_T12 below is the
+    // d = 3 engine whose regression the gate must catch, and a 16³ naive
+    // sweep is short enough to be timer-noise bound.
+    let init = inputs::random_bits(6, 16 * 16 * 16);
+    cases.push(case(
+        "naive3_16c_T16",
+        16 * 16 * 16 * 16,
+        false,
+        iters,
+        || cube(Engine::Naive3, 16, &init),
+    ));
+    let init = inputs::random_bits(7, 12 * 12 * 12);
+    cases.push(case("dnc3_12c_T12", 12 * 12 * 12 * 12, true, iters, || {
+        cube(Engine::Dnc3, 12, &init)
+    }));
 
     cases
 }
@@ -370,7 +325,7 @@ pub fn run_trace_counters(threads: usize) -> Vec<TraceCounters> {
 pub struct CertRow {
     /// `engine/regime`, e.g. `multi1/R2`.
     pub case: String,
-    pub engine: &'static str,
+    pub engine: bsmp::Engine,
     pub regime: &'static str,
     /// Gunther/Brent slowdown floor.
     pub lower: f64,
@@ -608,13 +563,13 @@ pub fn to_json_full(
         s.push_str("  \"trace_counters\": [\n");
         for (i, t) in traces.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"engine_case\": \"{}\", \"stages\": {}, \"points\": {}, \"messages\": {}, \"comm_delay\": {:?}, \"slowdown\": {:?}, \"table_hits\": {}}}{}\n",
+                "    {{\"engine_case\": \"{}\", \"stages\": {}, \"points\": {}, \"messages\": {}, \"comm_delay\": {}, \"slowdown\": {}, \"table_hits\": {}}}{}\n",
                 t.name,
                 t.stages,
                 t.points,
                 t.messages,
-                t.comm_delay,
-                t.slowdown,
+                num(t.comm_delay),
+                num(t.slowdown),
                 t.table_hits,
                 if i + 1 < traces.len() { "," } else { "" }
             ));
@@ -629,14 +584,14 @@ pub fn to_json_full(
         s.push_str("  \"certificates\": [\n");
         for (i, c) in certs.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"case\": \"{}\", \"engine\": \"{}\", \"regime\": \"{}\", \"lower\": {:?}, \"measured\": {:?}, \"upper\": {:?}, \"margin\": {:?}, \"verdict\": \"{}\"}}{}\n",
+                "    {{\"case\": \"{}\", \"engine\": \"{}\", \"regime\": \"{}\", \"lower\": {}, \"measured\": {}, \"upper\": {}, \"margin\": {}, \"verdict\": \"{}\"}}{}\n",
                 escape(&c.case),
                 c.engine,
                 c.regime,
-                c.lower,
-                c.measured,
-                c.upper,
-                c.margin,
+                num(c.lower),
+                num(c.measured),
+                num(c.upper),
+                num(c.margin),
                 escape(&c.verdict),
                 if i + 1 < certs.len() { "," } else { "" }
             ));
@@ -668,79 +623,65 @@ pub fn to_json_full(
     s
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
+/// Parse a bench document and check its schema tag.
+fn parse_doc(doc: &str) -> Result<Val, String> {
+    let v = parse(doc).map_err(|e| format!("not a JSON document: {e}"))?;
+    if v.get("schema").and_then(Val::as_str) != Some(SCHEMA) {
+        return Err(format!("missing schema tag {SCHEMA:?}"));
+    }
+    Ok(v)
 }
 
-/// Extract `"key": <number>` from a case line (the shape [`to_json`]
-/// emits; not a general JSON parser).
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let pos = line.find(&pat)?;
-    let rest = &line[pos + pat.len()..];
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
+/// The entries of the array field `key` (empty when absent).
+fn entries<'v>(doc: &'v Val, key: &str) -> &'v [Val] {
+    doc.get(key).and_then(Val::as_arr).unwrap_or(&[])
 }
 
-fn field_name(line: &str) -> Option<String> {
-    let pat = "\"name\": \"";
-    let pos = line.find(pat)?;
-    let rest = &line[pos + pat.len()..];
-    Some(rest.chars().take_while(|c| *c != '"').collect())
+/// A finite number field satisfying `ok`, or an error naming it.
+fn number(entry: &Val, key: &str, ok: impl Fn(f64) -> bool) -> Result<f64, String> {
+    match entry.get(key) {
+        Some(Val::Num(x)) if x.is_finite() && ok(*x) => Ok(*x),
+        _ => Err(format!(
+            "bad or missing \"{key}\" in case {:?}",
+            name(entry)
+        )),
+    }
+}
+
+fn name(entry: &Val) -> &str {
+    ["name", "serve"]
+        .iter()
+        .find_map(|k| entry.get(k).and_then(Val::as_str))
+        .unwrap_or("?")
 }
 
 /// Structural sanity check used by the CI perf-smoke step: the document
-/// must carry the schema tag, a positive case count, and finite
-/// non-negative timings and throughputs.  (Not a general JSON parser —
-/// it validates exactly the shape [`to_json`] emits.)
+/// must parse, carry the schema tag and the record-time suite stamp, a
+/// positive case count, finite non-negative timings and throughputs,
+/// and positive serve throughputs.
 pub fn validate_json(doc: &str) -> Result<usize, String> {
-    if !doc.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("missing schema tag {SCHEMA:?}"));
-    }
-    if !doc.contains("\"suite\": ") {
+    let doc = parse_doc(doc)?;
+    if doc.get("suite").is_none() {
         return Err("missing record-time \"suite\" stamp".into());
     }
-    let mut count = 0usize;
-    for line in doc.lines() {
-        let line = line.trim();
-        if line.starts_with("{\"serve\":") {
-            for key in ["cold_jps", "warm_jps", "warm_cold_ratio"] {
-                match field_f64(line, key) {
-                    Some(v) if v.is_finite() && v > 0.0 => {}
-                    _ => return Err(format!("bad or missing \"{key}\" in: {line}")),
-                }
-            }
-            continue;
-        }
-        if !line.starts_with("{\"name\":") {
-            continue;
-        }
-        count += 1;
-        for key in ["mean_s", "min_s", "median_s", "pps"] {
-            match field_f64(line, key) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                _ => return Err(format!("bad or missing \"{key}\" in: {line}")),
-            }
-        }
-        if !line.contains("\"gated\": true") && !line.contains("\"gated\": false") {
-            return Err(format!("missing \"gated\" flag in: {line}"));
+    for serve in entries(&doc, "serve_cases") {
+        for key in ["cold_jps", "warm_jps", "warm_cold_ratio"] {
+            number(serve, key, |x| x > 0.0)?;
         }
     }
-    if count == 0 {
+    let cases = entries(&doc, "cases");
+    for case in cases {
+        for key in ["mean_s", "min_s", "median_s", "pps"] {
+            number(case, key, |x| x >= 0.0)?;
+        }
+        if !matches!(case.get("gated"), Some(Val::Bool(_))) {
+            return Err(format!("missing \"gated\" flag in case {:?}", name(case)));
+        }
+    }
+    if cases.is_empty() {
         return Err("no cases in document".into());
     }
-    Ok(count)
+    Ok(cases.len())
 }
 
 /// Compare a fresh suite against a committed baseline document: every
@@ -751,24 +692,18 @@ pub fn validate_json(doc: &str) -> Result<usize, String> {
 /// cases checked; a missing schema tag or zero comparable gated cases
 /// is an error (the gate must never pass vacuously by schema drift).
 pub fn regression_gate(committed: &str, fresh: &[PerfCase]) -> Result<usize, String> {
-    if !committed.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("baseline is not a {SCHEMA} document"));
-    }
+    let committed = parse_doc(committed).map_err(|e| format!("baseline: {e}"))?;
     let mut checked = 0usize;
     let mut failures = Vec::new();
-    for line in committed.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"name\":") || !line.contains("\"gated\": true") {
+    for case in entries(&committed, "cases") {
+        if case.get("gated") != Some(&Val::Bool(true)) {
             continue;
         }
-        let Some(name) = field_name(line) else {
-            return Err(format!("unparsable baseline case: {line}"));
-        };
-        let (Some(base_min), Some(base_points)) =
-            (field_f64(line, "min_s"), field_f64(line, "points"))
-        else {
-            return Err(format!("baseline case {name} has no min_s/points"));
-        };
+        let name = name(case);
+        let (base_min, base_points) = (
+            number(case, "min_s", |_| true)?,
+            number(case, "points", |_| true)?,
+        );
         let base_best = base_points / base_min.max(1e-12);
         let Some(c) = fresh.iter().find(|c| c.name == name) else {
             failures.push(format!("gated case {name} missing from fresh suite"));

@@ -27,10 +27,10 @@
 //!   `--slow`/`--fault-seed` shorthands;
 //! * `--trace <PATH>` — run a traced demo simulation and write its
 //!   `bsmp-trace/v1` JSON log to `PATH` (honors `--slow`/`--faults`);
-//! * `--engine <NAME>` — which engine the `--trace` demo runs:
-//!   `naive1`, `multi1` (default), or `dnc1` on the linear array;
-//!   `naive2`, `multi2`, or `dnc2` on the mesh (the `dnc*` engines are
-//!   uniprocessor, so they trace with p = 1);
+//! * `--engine <NAME>` — which engine the `--trace` demo runs, any of
+//!   the nine (default `multi1`): 64 nodes on the linear array, the
+//!   8 × 8 mesh or the 4 × 4 × 4 cube, with p = 4 — or p = 1 for the
+//!   uniprocessor engines (`dnc1`, `dnc2`, `naive3`, `dnc3`);
 //! * `E1 … E15` — restrict to the named experiments;
 //! * `bench` — instead of the report, time the engine suite and write
 //!   the wall-clock baseline as JSON (default `BENCH_engines.json`);
@@ -65,8 +65,8 @@
 //! Exit status: 0 on success, 1 on an engine/validation error, 2 on bad
 //! command-line arguments.
 
-use bsmp::workloads::{inputs, Eca, TokenShift, VonNeumannLife};
-use bsmp::{CoreKind, FaultPlan, MachineSpec, Simulation, Strategy};
+use bsmp::workloads::{inputs, Eca, Parity3d, TokenShift, VonNeumannLife};
+use bsmp::{CoreKind, Engine, FaultPlan, MachineSpec, RunOpts, Simulation, Strategy, Tracer};
 use bsmp_bench::{all_experiments, perf, Scale};
 
 struct Args {
@@ -79,7 +79,7 @@ struct Args {
     core: CoreKind,
     bench: Option<BenchArgs>,
     trace_out: Option<String>,
-    trace_engine: String,
+    trace_engine: Engine,
     trace_validate: Option<String>,
     trace_certify: Option<String>,
     serve: Option<ServeCliArgs>,
@@ -111,7 +111,7 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
         core: CoreKind::Dense,
         bench: None,
         trace_out: None,
-        trace_engine: "multi1".to_string(),
+        trace_engine: Engine::Multi1,
         trace_validate: None,
         trace_certify: None,
         serve: None,
@@ -156,14 +156,10 @@ fn parse_args(raw: &[String], valid_ids: &[&str]) -> Result<Args, String> {
             "--engine" => {
                 let v = it
                     .next()
-                    .ok_or("--engine requires a name (naive1|multi1|dnc1|naive2|multi2|dnc2)")?;
-                if !["naive1", "multi1", "dnc1", "naive2", "multi2", "dnc2"].contains(&v.as_str()) {
-                    return Err(format!(
-                        "--engine: `{v}` is not a traceable demo engine \
-                         (naive1|multi1|dnc1|naive2|multi2|dnc2)"
-                    ));
-                }
-                args.trace_engine = v.clone();
+                    .ok_or_else(|| format!("--engine requires a name ({})", Engine::names()))?;
+                args.trace_engine = Engine::from_name(v).ok_or_else(|| {
+                    format!("--engine: `{v}` is not an engine ({})", Engine::names())
+                })?;
             }
             "trace-validate" => {
                 let v = it.next().ok_or("trace-validate requires a trace path")?;
@@ -338,48 +334,37 @@ fn fault_sweep(
 /// written as `bsmp-trace/v1` JSON.
 fn trace_demo(
     path: &str,
-    engine: &str,
+    engine: Engine,
     plan: Option<&FaultPlan>,
     input_seed: u64,
     core: CoreKind,
 ) -> Result<(), String> {
-    // The dnc engines are uniprocessor; the d = 2 demo runs fewer steps
-    // because a mesh stage touches every node.
-    let (mesh, strategy) = match engine {
-        "naive1" => (false, Strategy::Naive),
-        "multi1" => (false, Strategy::TwoRegime),
-        "dnc1" => (false, Strategy::DivideAndConquer),
-        "naive2" => (true, Strategy::Naive),
-        "multi2" => (true, Strategy::TwoRegime),
-        "dnc2" => (true, Strategy::DivideAndConquer),
-        other => return Err(format!("no traceable demo engine `{other}`")),
-    };
-    let n = 64u64;
-    let p = if strategy == Strategy::DivideAndConquer {
-        1u64
-    } else {
-        4u64
-    };
-    let steps = if mesh { 16i64 } else { 64i64 };
+    // The mesh and cube demos run fewer steps because a stage touches
+    // every node.
+    let (n, p) = (64u64, if engine.uniprocessor_only() { 1 } else { 4 });
     let init = inputs::random_bits(input_seed, n as usize);
-    let mut sim = if mesh {
-        Simulation::try_mesh(n, p, 1)
-    } else {
-        Simulation::try_linear(n, p, 1)
-    }
-    .map_err(|e| e.to_string())?
-    .strategy(strategy)
-    .core(core);
-    if let Some(plan) = plan {
-        sim = sim.faults(*plan);
-    }
-    let (rep, trace) = if mesh {
-        sim.try_trace_mesh(&VonNeumannLife::fredkin(), &init, steps)
-    } else {
-        sim.try_trace(&Eca::rule110(), &init, steps)
+    let mut tracer = Tracer::recording();
+    let opts = RunOpts::default()
+        .plan(plan.copied().unwrap_or_default())
+        .core(core)
+        .tracer(&mut tracer);
+    let spec = |d| MachineSpec::try_new(d, n, p, 1).map_err(|e| e.to_string());
+    let rep = match engine.dim() {
+        1 => bsmp::sim::run_linear(engine, &spec(1)?, &Eca::rule110(), &init, 64, opts),
+        2 => bsmp::sim::run_mesh(
+            engine,
+            &spec(2)?,
+            &VonNeumannLife::fredkin(),
+            &init,
+            16,
+            opts,
+        ),
+        _ => bsmp::sim::run_volume(engine, 4, &Parity3d, &init, 8, opts),
     }
     .map_err(|e| e.to_string())?;
-    if let Some(reason) = rep.sim.core_fallback {
+    let mut trace = tracer.take().expect("recording tracer yields a trace");
+    bsmp::stamp_regime(&mut trace);
+    if let Some(reason) = rep.core_fallback {
         println!("note: event core fell back to the dense stage loop: {reason}\n");
     }
     bsmp::validate_trace(&trace)?;
@@ -688,7 +673,7 @@ fn main() {
     if let Some(path) = &args.trace_out {
         if let Err(msg) = trace_demo(
             path,
-            &args.trace_engine,
+            args.trace_engine,
             plan.as_ref(),
             input_seed,
             args.core,

@@ -18,19 +18,17 @@
 //! trace through [`bsmp_trace::certify::certify`].
 
 use bsmp_faults::FaultPlan;
-use bsmp_sim::{SimError, SimReport};
+use bsmp_sim::{Engine, SimError, SimReport};
 use bsmp_trace::certify::{certify, Certificate};
 use bsmp_trace::{RunTrace, Tracer};
 
-use crate::serve_suite::{default_seed, run_shape};
+use crate::serve_suite::{default_seed, run_engine};
 
 /// One (engine, regime) cell of the certification matrix.
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixCase {
-    /// Engine name as stamped into the trace.
-    pub engine: &'static str,
-    /// Layout dimension.
-    pub d: u8,
+    /// Engine (fixes the layout dimension).
+    pub engine: Engine,
     /// Guest volume (for `d = 3`, a perfect cube).
     pub n: u64,
     /// Memory cells per node.
@@ -48,11 +46,10 @@ pub struct MatrixCase {
 pub fn matrix() -> Vec<MatrixCase> {
     let mut v = Vec::new();
     // d = 1, p = 4, n = 64: regime boundaries at m = 4, 16, 64.
-    for engine in ["naive1", "multi1", "pipelined1"] {
+    for engine in [Engine::Naive1, Engine::Multi1, Engine::Pipelined1] {
         for (m, regime) in [(1, "R1"), (8, "R2"), (128, "R4")] {
             v.push(MatrixCase {
                 engine,
-                d: 1,
                 n: 64,
                 m,
                 p: 4,
@@ -64,8 +61,7 @@ pub fn matrix() -> Vec<MatrixCase> {
     // d = 1, p = 1, n = 64: boundaries at m = 8, 8, 64 (R2 empty).
     for (m, regime) in [(1, "R1"), (16, "R3"), (128, "R4")] {
         v.push(MatrixCase {
-            engine: "dnc1",
-            d: 1,
+            engine: Engine::Dnc1,
             n: 64,
             m,
             p: 1,
@@ -74,11 +70,10 @@ pub fn matrix() -> Vec<MatrixCase> {
         });
     }
     // d = 2, p = 4, n = 64 (8×8 mesh): boundaries at m = 2, 4, 8.
-    for engine in ["naive2", "multi2"] {
+    for engine in [Engine::Naive2, Engine::Multi2] {
         for (m, regime) in [(1, "R1"), (4, "R2"), (16, "R4")] {
             v.push(MatrixCase {
                 engine,
-                d: 2,
                 n: 64,
                 m,
                 p: 4,
@@ -90,8 +85,7 @@ pub fn matrix() -> Vec<MatrixCase> {
     // d = 2, p = 1, n = 64: boundaries at m = 2.83.., 2.83.., 8.
     for (m, regime) in [(1, "R1"), (4, "R3"), (16, "R4")] {
         v.push(MatrixCase {
-            engine: "dnc2",
-            d: 2,
+            engine: Engine::Dnc2,
             n: 64,
             m,
             p: 1,
@@ -100,10 +94,9 @@ pub fn matrix() -> Vec<MatrixCase> {
         });
     }
     // d = 3 (4×4×4 cube), m = 1 forced by the volume engines: R1 only.
-    for engine in ["naive3", "dnc3"] {
+    for engine in [Engine::Naive3, Engine::Dnc3] {
         v.push(MatrixCase {
             engine,
-            d: 3,
             n: 64,
             m: 1,
             p: 1,
@@ -125,7 +118,7 @@ pub fn run_case(case: &MatrixCase, plan: &FaultPlan) -> Result<(RunTrace, Certif
 
 /// [`run_case`] returning the engine's [`SimReport`] alongside the
 /// trace and certificate — the batch server's twin-check path needs all
-/// three.  Dispatch goes through [`crate::serve_suite::run_shape`], the
+/// three.  Dispatch goes through [`crate::serve_suite::run_engine`], the
 /// single engine dispatcher shared with the server, so a matrix cell
 /// and the serve job of the same shape are bit-identical by
 /// construction.
@@ -135,9 +128,8 @@ pub fn run_case_reported(
 ) -> Result<(SimReport, RunTrace, Certificate), SimError> {
     let mut tracer = Tracer::recording();
     let seed = default_seed(case.n, case.m, case.p);
-    let report = run_shape(
+    let report = run_engine(
         case.engine,
-        case.d,
         case.n,
         case.m,
         case.p,
@@ -146,15 +138,9 @@ pub fn run_case_reported(
         plan,
         &mut tracer,
     )?;
-    let mut trace = tracer.take().expect("recording tracer yields a trace");
-    trace.summary.regime = format!(
-        "{:?}",
-        bsmp_analytic::theorem1::range(case.d, case.n as f64, case.m as f64, case.p as f64)
-    );
+    let trace = crate::take_stamped(tracer);
     debug_assert_eq!(trace.summary.regime, case.regime, "case mis-labeled");
-    let cert = certify(&trace).map_err(|e| SimError::Uncertifiable {
-        message: e.to_string(),
-    })?;
+    let cert = certify(&trace)?;
     Ok((report, trace, cert))
 }
 
@@ -165,12 +151,13 @@ mod tests {
     #[test]
     fn matrix_covers_all_engines() {
         let cases = matrix();
-        let engines: std::collections::HashSet<&str> = cases.iter().map(|c| c.engine).collect();
-        assert_eq!(engines.len(), 9);
+        for e in Engine::ALL {
+            assert!(cases.iter().any(|c| c.engine == e), "{e} has no cell");
+        }
         assert_eq!(cases.len(), 23);
-        // Every p > 1 linear engine hits all three Theorem-1 regimes
-        // reachable at p > 1.
-        for e in ["naive1", "multi1", "pipelined1", "naive2", "multi2"] {
+        // Every p > 1 engine hits all three Theorem-1 regimes reachable
+        // at p > 1.
+        for e in Engine::ALL.into_iter().filter(|e| !e.uniprocessor_only()) {
             let regimes: Vec<&str> = cases
                 .iter()
                 .filter(|c| c.engine == e)

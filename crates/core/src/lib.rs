@@ -84,8 +84,9 @@ pub use bsmp_machine::{
     init_shared_pool, plan_cache, set_default_threads, CacheStats, CoreKind, ExecPolicy,
     LinearProgram, MachineSpec, MeshProgram, PlanKey, SpecError,
 };
-pub use bsmp_sim::{SimError, SimReport};
-pub use bsmp_trace::{RunTrace, Tracer};
+pub use bsmp_sim::{RunOpts, SimError, SimReport};
+pub use bsmp_trace::certify::Certificate;
+pub use bsmp_trace::{Engine, RunTrace, Tracer};
 
 /// Which simulation scheme the host machine uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -207,88 +208,80 @@ impl Simulation {
         self.spec
     }
 
-    fn resolve(&self) -> Strategy {
+    /// The engine this simulation runs: the strategy, resolved against
+    /// the machine.  [`Strategy::Auto`] picks the naive engine in
+    /// Theorem 1's range 4, D&C at `p = 1` and the two-regime scheme
+    /// otherwise; the two-regime scheme degrades to D&C at `p = 1` and
+    /// to the naive engine where it cannot run (no admissible multi1
+    /// strip width, e.g. prime `n/p`; a mesh block of side 1).
+    pub fn resolve(&self) -> Engine {
+        let spec = &self.spec;
+        let (naive, dnc, multi) = match spec.d {
+            1 => (Engine::Naive1, Engine::Dnc1, Engine::Multi1),
+            _ => (Engine::Naive2, Engine::Dnc2, Engine::Multi2),
+        };
+        let two_regime = || {
+            let runnable = match spec.d {
+                1 => bsmp_sim::multi1::engine_strip(spec.n, spec.m, spec.p).is_some(),
+                _ => spec.mesh_side() / spec.proc_side() >= 2,
+            };
+            if spec.p == 1 {
+                dnc
+            } else if runnable {
+                multi
+            } else {
+                naive
+            }
+        };
         match self.strategy {
+            Strategy::Naive => naive,
+            Strategy::DivideAndConquer => dnc,
+            Strategy::TwoRegime => two_regime(),
             Strategy::Auto => {
-                let (n, m, p) = (self.spec.n as f64, self.spec.m as f64, self.spec.p as f64);
+                let (n, m, p) = (spec.n as f64, spec.m as f64, spec.p as f64);
                 // Range 4 of Theorem 1: only the naive simulation is
                 // profitable.
-                if bsmp_analytic::theorem1::range(self.spec.d, n, m, p) == bsmp_analytic::Range::R4
-                {
-                    Strategy::Naive
-                } else if self.spec.p == 1 {
-                    Strategy::DivideAndConquer
+                if bsmp_analytic::theorem1::range(spec.d, n, m, p) == bsmp_analytic::Range::R4 {
+                    naive
                 } else {
-                    Strategy::TwoRegime
+                    two_regime()
                 }
             }
-            s => s,
+        }
+    }
+
+    /// The per-run options this builder carries.
+    fn opts<'t>(&self, tracer: Option<&'t mut Tracer>) -> RunOpts<'t> {
+        RunOpts {
+            plan: self.faults,
+            exec: self.exec,
+            core: self.core,
+            tracer,
+            ..RunOpts::default()
         }
     }
 
     /// Run a linear-array guest program, reporting invalid parameters as
-    /// a [`SimError`] instead of panicking.  [`Strategy::Auto`] and
-    /// [`Strategy::TwoRegime`] degrade gracefully to the naive engine
-    /// when no admissible strip width exists (e.g. prime `n/p`).
+    /// a [`SimError`] instead of panicking (the engine is
+    /// [`Simulation::resolve`]'s choice).
     pub fn try_run(
         &self,
         prog: &impl LinearProgram,
         init: &[Word],
         steps: i64,
     ) -> Result<Report, SimError> {
-        if self.spec.d != 1 {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive1::try_simulate_naive1_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut Tracer::off(),
-            )?,
-            Strategy::DivideAndConquer => {
-                bsmp_sim::dnc1::try_simulate_dnc1_faulted(&self.spec, prog, init, steps, plan)?
-            }
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc1::try_simulate_dnc1_faulted(&self.spec, prog, init, steps, plan)?
-                } else if bsmp_sim::multi1::engine_strip(self.spec.n, self.spec.m, self.spec.p)
-                    .is_some()
-                {
-                    bsmp_sim::multi1::try_simulate_multi1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        bsmp_sim::multi1::Multi1Options::default(),
-                        plan,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                } else {
-                    // No admissible strip width (e.g. prime n): naive.
-                    bsmp_sim::naive1::try_simulate_naive1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
+        self.run_linear_with(prog, init, steps, None)
+    }
+
+    fn run_linear_with(
+        &self,
+        prog: &impl LinearProgram,
+        init: &[Word],
+        steps: i64,
+        tracer: Option<&mut Tracer>,
+    ) -> Result<Report, SimError> {
+        let opts = self.opts(tracer);
+        let sim = bsmp_sim::run_linear(self.resolve(), &self.spec, prog, init, steps, opts)?;
         Ok(Report::new(self.spec, sim))
     }
 
@@ -314,73 +307,9 @@ impl Simulation {
         init: &[Word],
         steps: i64,
     ) -> Result<(Report, RunTrace), SimError> {
-        if self.spec.d != 1 {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
         let mut tracer = Tracer::recording();
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive1::try_simulate_naive1_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut tracer,
-            )?,
-            Strategy::DivideAndConquer => bsmp_sim::dnc1::try_simulate_dnc1_faulted_traced(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                &mut tracer,
-            )?,
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc1::try_simulate_dnc1_faulted_traced(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        &mut tracer,
-                    )?
-                } else if bsmp_sim::multi1::engine_strip(self.spec.n, self.spec.m, self.spec.p)
-                    .is_some()
-                {
-                    bsmp_sim::multi1::try_simulate_multi1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        bsmp_sim::multi1::Multi1Options::default(),
-                        plan,
-                        self.core,
-                        &mut tracer,
-                    )?
-                } else {
-                    bsmp_sim::naive1::try_simulate_naive1_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut tracer,
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        let trace = self.stamp(tracer);
-        Ok((Report::new(self.spec, sim), trace))
+        let report = self.run_linear_with(prog, init, steps, Some(&mut tracer))?;
+        Ok((report, take_stamped(tracer)))
     }
 
     /// Panicking twin of [`Simulation::try_trace`].
@@ -394,81 +323,27 @@ impl Simulation {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Finalize a recording tracer: pull out the [`RunTrace`] and stamp
-    /// the Theorem-1 regime (the engines leave the tag empty for the
-    /// façade to fill in; the certifier recomputes and cross-checks it).
-    fn stamp(&self, mut tracer: Tracer) -> RunTrace {
-        let mut trace = tracer
-            .take()
-            .expect("recording tracer always yields a trace");
-        let (n, m, p) = (self.spec.n as f64, self.spec.m as f64, self.spec.p as f64);
-        trace.summary.regime =
-            format!("{:?}", bsmp_analytic::theorem1::range(self.spec.d, n, m, p));
-        trace
-    }
-
     /// Run a mesh guest program, reporting invalid parameters as a
-    /// [`SimError`] instead of panicking.  [`Strategy::Auto`] and
-    /// [`Strategy::TwoRegime`] degrade gracefully to the naive engine
-    /// when the per-processor block is too small for the honeycomb
-    /// scheme.
+    /// [`SimError`] instead of panicking (the engine is
+    /// [`Simulation::resolve`]'s choice).
     pub fn try_run_mesh(
         &self,
         prog: &impl MeshProgram,
         init: &[Word],
         steps: i64,
     ) -> Result<Report, SimError> {
-        if self.spec.d != 2 {
-            return Err(SimError::DimensionMismatch {
-                expected: 2,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive2::try_simulate_naive2_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut Tracer::off(),
-            )?,
-            Strategy::DivideAndConquer => {
-                bsmp_sim::dnc2::try_simulate_dnc2_faulted(&self.spec, prog, init, steps, plan)?
-            }
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc2::try_simulate_dnc2_faulted(&self.spec, prog, init, steps, plan)?
-                } else if self.spec.mesh_side() / self.spec.proc_side() >= 2 {
-                    bsmp_sim::multi2::try_simulate_multi2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                } else {
-                    // Block side 1: the honeycomb scheme degenerates —
-                    // fall back to the naive engine.
-                    bsmp_sim::naive2::try_simulate_naive2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut Tracer::off(),
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
+        self.run_mesh_with(prog, init, steps, None)
+    }
+
+    fn run_mesh_with(
+        &self,
+        prog: &impl MeshProgram,
+        init: &[Word],
+        steps: i64,
+        tracer: Option<&mut Tracer>,
+    ) -> Result<Report, SimError> {
+        let opts = self.opts(tracer);
+        let sim = bsmp_sim::run_mesh(self.resolve(), &self.spec, prog, init, steps, opts)?;
         Ok(Report::new(self.spec, sim))
     }
 
@@ -486,70 +361,9 @@ impl Simulation {
         init: &[Word],
         steps: i64,
     ) -> Result<(Report, RunTrace), SimError> {
-        if self.spec.d != 2 {
-            return Err(SimError::DimensionMismatch {
-                expected: 2,
-                got: self.spec.d,
-            });
-        }
-        let plan = &self.faults;
         let mut tracer = Tracer::recording();
-        let sim = match self.resolve() {
-            Strategy::Naive => bsmp_sim::naive2::try_simulate_naive2_core(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                self.exec,
-                self.core,
-                &mut tracer,
-            )?,
-            Strategy::DivideAndConquer => bsmp_sim::dnc2::try_simulate_dnc2_faulted_traced(
-                &self.spec,
-                prog,
-                init,
-                steps,
-                plan,
-                &mut tracer,
-            )?,
-            Strategy::TwoRegime => {
-                if self.spec.p == 1 {
-                    bsmp_sim::dnc2::try_simulate_dnc2_faulted_traced(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        &mut tracer,
-                    )?
-                } else if self.spec.mesh_side() / self.spec.proc_side() >= 2 {
-                    bsmp_sim::multi2::try_simulate_multi2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.core,
-                        &mut tracer,
-                    )?
-                } else {
-                    bsmp_sim::naive2::try_simulate_naive2_core(
-                        &self.spec,
-                        prog,
-                        init,
-                        steps,
-                        plan,
-                        self.exec,
-                        self.core,
-                        &mut tracer,
-                    )?
-                }
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        let trace = self.stamp(tracer);
-        Ok((Report::new(self.spec, sim), trace))
+        let report = self.run_mesh_with(prog, init, steps, Some(&mut tracer))?;
+        Ok((report, take_stamped(tracer)))
     }
 
     /// Panicking twin of [`Simulation::try_trace_mesh`].
@@ -576,12 +390,10 @@ impl Simulation {
         prog: &impl LinearProgram,
         init: &[Word],
         steps: i64,
-    ) -> Result<(Report, RunTrace, bsmp_trace::certify::Certificate), SimError> {
+    ) -> Result<(Report, RunTrace, Certificate), SimError> {
         self.check_certifiable()?;
         let (report, trace) = self.try_trace(prog, init, steps)?;
-        let cert = bsmp_trace::certify::certify(&trace).map_err(|e| SimError::Uncertifiable {
-            message: e.to_string(),
-        })?;
+        let cert = bsmp_trace::certify::certify(&trace)?;
         Ok((report, trace, cert))
     }
 
@@ -591,12 +403,10 @@ impl Simulation {
         prog: &impl MeshProgram,
         init: &[Word],
         steps: i64,
-    ) -> Result<(Report, RunTrace, bsmp_trace::certify::Certificate), SimError> {
+    ) -> Result<(Report, RunTrace, Certificate), SimError> {
         self.check_certifiable()?;
         let (report, trace) = self.try_trace_mesh(prog, init, steps)?;
-        let cert = bsmp_trace::certify::certify(&trace).map_err(|e| SimError::Uncertifiable {
-            message: e.to_string(),
-        })?;
+        let cert = bsmp_trace::certify::certify(&trace)?;
         Ok((report, trace, cert))
     }
 
@@ -614,6 +424,27 @@ impl Simulation {
         }
         Ok(())
     }
+}
+
+/// Stamp Theorem 1's regime for the trace's own `(d, n, m, p)`: the
+/// engines leave the tag empty for the caller to fill in, and the
+/// certifier recomputes and cross-checks it.
+pub fn stamp_regime(trace: &mut RunTrace) {
+    let (n, m, p) = (trace.n as f64, trace.m as f64, trace.p as f64);
+    trace.summary.regime = format!(
+        "{:?}",
+        bsmp_analytic::theorem1::range(trace.d as u8, n, m, p)
+    );
+}
+
+/// Finalize a recording tracer: pull out the [`RunTrace`] and stamp its
+/// regime.
+pub(crate) fn take_stamped(mut tracer: Tracer) -> RunTrace {
+    let mut trace = tracer
+        .take()
+        .expect("recording tracer always yields a trace");
+    stamp_regime(&mut trace);
+    trace
 }
 
 /// Validate a [`RunTrace`] structurally *and* semantically: every check
@@ -723,11 +554,11 @@ mod tests {
     fn auto_picks_naive_in_range_4() {
         // m ≥ n: Theorem 1 range 4 — naive is optimal.
         let s = Simulation::linear(8, 2, 16);
-        assert_eq!(s.resolve(), Strategy::Naive);
+        assert_eq!(s.resolve(), Engine::Naive1);
         let s = Simulation::linear(64, 2, 1);
-        assert_eq!(s.resolve(), Strategy::TwoRegime);
+        assert_eq!(s.resolve(), Engine::Multi1);
         let s = Simulation::linear(64, 1, 1);
-        assert_eq!(s.resolve(), Strategy::DivideAndConquer);
+        assert_eq!(s.resolve(), Engine::Dnc1);
     }
 
     #[test]

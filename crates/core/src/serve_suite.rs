@@ -34,10 +34,8 @@ use std::sync::{Arc, Mutex};
 
 use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::{CostMeter, Word};
-use bsmp_machine::{
-    plan_cache, run_linear, run_mesh, run_volume, ExecPolicy, GuestRun, MachineSpec, PlanKey,
-};
-use bsmp_sim::{dnc1, dnc2, dnc3, multi1, multi2, naive1, naive2, pipelined1, SimError, SimReport};
+use bsmp_machine::{plan_cache, run_linear, run_mesh, run_volume, GuestRun, MachineSpec, PlanKey};
+use bsmp_sim::{Engine, RunOpts, SimError, SimReport};
 use bsmp_trace::certify::{certify, Certificate};
 use bsmp_trace::json::{escape, num, parse, Val};
 use bsmp_trace::{RunTrace, Tracer};
@@ -54,29 +52,70 @@ pub fn default_seed(n: u64, m: u64, p: u64) -> u64 {
     0xB5_u64.wrapping_mul(n).wrapping_add(m * 31 + p * 7)
 }
 
-/// Resolve an engine name to its interned form and layout dimension.
-pub fn engine_static(name: &str) -> Option<(&'static str, u8)> {
-    Some(match name {
-        "naive1" => ("naive1", 1),
-        "multi1" => ("multi1", 1),
-        "pipelined1" => ("pipelined1", 1),
-        "dnc1" => ("dnc1", 1),
-        "naive2" => ("naive2", 2),
-        "multi2" => ("multi2", 2),
-        "dnc2" => ("dnc2", 2),
-        "naive3" => ("naive3", 3),
-        "dnc3" => ("dnc3", 3),
-        _ => return None,
-    })
-}
-
 /// Run one engine on the canonical workload for its shape.  This is the
 /// single dispatch point behind both the certification matrix and the
-/// batch server: every engine's `try_` path, with tracing observed by
-/// `tracer` and the report returned to the caller.
+/// batch server: the engine's run with tracing observed by `tracer`
+/// and the report returned to the caller.
+#[allow(clippy::too_many_arguments)] // one flat shape tuple, by design
+pub fn run_engine(
+    engine: Engine,
+    n: u64,
+    m: u64,
+    p: u64,
+    steps: i64,
+    seed: u64,
+    plan: &FaultPlan,
+    tracer: &mut Tracer,
+) -> Result<SimReport, SimError> {
+    let opts = RunOpts::default().plan(*plan).tracer(tracer);
+    let (nu, mu) = (n as usize, m as usize);
+    match engine.dim() {
+        1 => {
+            let spec = MachineSpec::try_new(1, n, p, m)?;
+            if mu == 1 {
+                let init = inputs::random_bits(seed, nu);
+                bsmp_sim::run_linear(engine, &spec, &Eca::rule110(), &init, steps, opts)
+            } else {
+                let init = inputs::random_words(seed, nu * mu, 50);
+                bsmp_sim::run_linear(engine, &spec, &CyclicWave::new(mu), &init, steps, opts)
+            }
+        }
+        2 => {
+            let spec = MachineSpec::try_new(2, n, p, m)?;
+            if mu == 1 {
+                let init = inputs::random_bits(seed, nu);
+                bsmp_sim::run_mesh(
+                    engine,
+                    &spec,
+                    &VonNeumannLife::fredkin(),
+                    &init,
+                    steps,
+                    opts,
+                )
+            } else {
+                let init = inputs::random_words(seed, nu * mu, 50);
+                bsmp_sim::run_mesh(engine, &spec, &PlaneWave::new(mu), &init, steps, opts)
+            }
+        }
+        _ => {
+            let side = (n as f64).cbrt().round() as usize;
+            if (side * side * side) as u64 != n || m != 1 || p != 1 {
+                return Err(SimError::Internal {
+                    what: "d = 3 engines need a cube n with m = p = 1",
+                });
+            }
+            let init = inputs::random_bits(seed, nu);
+            bsmp_sim::run_volume(engine, side, &Parity3d, &init, steps, opts)
+        }
+    }
+}
+
+/// [`run_engine`] by engine name: an unknown name is a typed
+/// [`SimError::BadRequest`], and a layout dimension `d` other than the
+/// engine's own is a [`SimError::DimensionMismatch`].
 #[allow(clippy::too_many_arguments)] // one flat shape tuple, by design
 pub fn run_shape(
-    engine: &'static str,
+    engine: &str,
     d: u8,
     n: u64,
     m: u64,
@@ -86,123 +125,15 @@ pub fn run_shape(
     plan: &FaultPlan,
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
-    match d {
-        1 => {
-            let spec = MachineSpec::try_new(1, n, p, m)?;
-            let (nu, mu) = (n as usize, m as usize);
-            if mu == 1 {
-                let prog = Eca::rule110();
-                let init = inputs::random_bits(seed, nu);
-                run_linear_engine(engine, &spec, &prog, &init, steps, plan, tracer)
-            } else {
-                let prog = CyclicWave::new(mu);
-                let init = inputs::random_words(seed, nu * mu, 50);
-                run_linear_engine(engine, &spec, &prog, &init, steps, plan, tracer)
-            }
-        }
-        2 => {
-            let spec = MachineSpec::try_new(2, n, p, m)?;
-            let (nu, mu) = (n as usize, m as usize);
-            if mu == 1 {
-                let prog = VonNeumannLife::fredkin();
-                let init = inputs::random_bits(seed, nu);
-                run_mesh_engine(engine, &spec, &prog, &init, steps, plan, tracer)
-            } else {
-                let prog = PlaneWave::new(mu);
-                let init = inputs::random_words(seed, nu * mu, 50);
-                run_mesh_engine(engine, &spec, &prog, &init, steps, plan, tracer)
-            }
-        }
-        3 => {
-            let side = (n as f64).cbrt().round() as usize;
-            if (side * side * side) as u64 != n || m != 1 || p != 1 {
-                return Err(SimError::Internal {
-                    what: "d = 3 engines need a cube n with m = p = 1",
-                });
-            }
-            let init = inputs::random_bits(seed, side * side * side);
-            match engine {
-                "naive3" => dnc3::try_simulate_naive3_faulted_traced(
-                    side, &Parity3d, &init, steps, plan, tracer,
-                ),
-                "dnc3" => dnc3::try_simulate_dnc3_faulted_traced(
-                    side, &Parity3d, &init, steps, plan, tracer,
-                ),
-                _ => Err(SimError::Internal {
-                    what: "unknown d = 3 engine",
-                }),
-            }
-        }
-        _ => Err(SimError::DimensionMismatch {
-            expected: 1,
+    let engine =
+        Engine::from_name(engine).ok_or_else(|| bad(0, format!("unknown engine \"{engine}\"")))?;
+    if engine.dim() != d {
+        return Err(SimError::DimensionMismatch {
+            expected: engine.dim(),
             got: d,
-        }),
+        });
     }
-}
-
-fn run_linear_engine(
-    engine: &str,
-    spec: &MachineSpec,
-    prog: &impl bsmp_machine::LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match engine {
-        "naive1" => naive1::try_simulate_naive1_traced(
-            spec,
-            prog,
-            init,
-            steps,
-            plan,
-            ExecPolicy::auto(),
-            tracer,
-        ),
-        "multi1" => multi1::try_simulate_multi1_traced(
-            spec,
-            prog,
-            init,
-            steps,
-            multi1::Multi1Options::default(),
-            plan,
-            tracer,
-        ),
-        "pipelined1" => {
-            pipelined1::try_simulate_pipelined1_traced(spec, prog, init, steps, plan, tracer)
-        }
-        "dnc1" => dnc1::try_simulate_dnc1_faulted_traced(spec, prog, init, steps, plan, tracer),
-        _ => Err(SimError::Internal {
-            what: "unknown d = 1 engine",
-        }),
-    }
-}
-
-fn run_mesh_engine(
-    engine: &str,
-    spec: &MachineSpec,
-    prog: &impl bsmp_machine::MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match engine {
-        "naive2" => naive2::try_simulate_naive2_traced(
-            spec,
-            prog,
-            init,
-            steps,
-            plan,
-            ExecPolicy::auto(),
-            tracer,
-        ),
-        "multi2" => multi2::try_simulate_multi2_traced(spec, prog, init, steps, plan, tracer),
-        "dnc2" => dnc2::try_simulate_dnc2_faulted_traced(spec, prog, init, steps, plan, tracer),
-        _ => Err(SimError::Internal {
-            what: "unknown d = 2 engine",
-        }),
-    }
+    run_engine(engine, n, m, p, steps, seed, plan, tracer)
 }
 
 /// Direct guest execution of the canonical workload — the warm path's
@@ -275,18 +206,17 @@ pub fn run_guest(d: u8, n: u64, m: u64, steps: i64, seed: u64) -> Result<GuestRu
 pub struct JobSpec {
     /// Caller-chosen id, echoed on the result line.
     pub id: u64,
-    /// Engine (interned; fixes the layout dimension `d`).
-    pub engine: &'static str,
-    pub d: u8,
+    /// Engine (fixes the layout dimension `d`).
+    pub engine: Engine,
     pub n: u64,
     pub m: u64,
     pub p: u64,
     pub steps: i64,
     /// Input seed (defaults to the certification matrix's formula).
     pub seed: u64,
-    /// Canonical fault-plan JSON (exactly the capsule-key salt), `None`
+    /// Fault plan (its canonical JSON is the capsule-key salt), `None`
     /// for a fault-free run.
-    pub faults: Option<String>,
+    pub faults: Option<FaultPlan>,
     /// Include the full run trace in the result line.
     pub trace: bool,
     /// Certify the trace and include the verdict (implies tracing).
@@ -297,44 +227,6 @@ fn bad(job_id: u64, what: impl Into<String>) -> SimError {
     SimError::BadRequest {
         job_id,
         what: what.into(),
-    }
-}
-
-/// Serialize a parsed JSON value back to a canonical single-line string
-/// (object key order preserved) — the capsule key's fault-plan salt.
-fn val_to_string(v: &Val, out: &mut String) {
-    match v {
-        Val::Null => out.push_str("null"),
-        Val::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Val::Num(x) => out.push_str(&num(*x)),
-        Val::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        Val::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                val_to_string(item, out);
-            }
-            out.push(']');
-        }
-        Val::Obj(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape(k));
-                out.push_str("\":");
-                val_to_string(item, out);
-            }
-            out.push('}');
-        }
     }
 }
 
@@ -372,7 +264,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, SimError> {
         .get("engine")
         .and_then(Val::as_str)
         .ok_or_else(|| bad(id, "missing or non-string \"engine\""))?;
-    let (engine, d) = engine_static(engine_name)
+    let engine = Engine::from_name(engine_name)
         .ok_or_else(|| bad(id, format!("unknown engine \"{engine_name}\"")))?;
     let n = u64_field("n", None)?;
     let m = u64_field("m", Some(1))?;
@@ -384,18 +276,15 @@ pub fn parse_job(line: &str) -> Result<JobSpec, SimError> {
     let seed = u64_field("seed", Some(default_seed(n, m, p)))?;
     let faults = match doc.get("faults") {
         None | Some(Val::Null) => None,
-        Some(v @ Val::Obj(_)) => {
-            let mut s = String::new();
-            val_to_string(v, &mut s);
-            // Surface plan shape errors at parse time, as this job's
-            // typed error.
-            FaultPlan::from_json(&s)
-                .map_err(|e| bad(id, format!("bad fault plan: {}", e.message)))?;
-            Some(s)
-        }
+        // Plan shape errors surface at parse time, as this job's typed
+        // error.
+        Some(v @ Val::Obj(_)) => Some(
+            FaultPlan::from_val(v)
+                .map_err(|e| bad(id, format!("bad fault plan: {}", e.message)))?,
+        ),
         Some(_) => return Err(bad(id, "\"faults\" must be an object")),
     };
-    if d == 3 {
+    if engine.dim() == 3 {
         let side = (n as f64).cbrt().round() as u64;
         if side * side * side != n || m != 1 || p != 1 {
             return Err(bad(id, "d = 3 engines need a cube n with m = p = 1"));
@@ -404,7 +293,6 @@ pub fn parse_job(line: &str) -> Result<JobSpec, SimError> {
     Ok(JobSpec {
         id,
         engine,
-        d,
         n,
         m,
         p,
@@ -432,8 +320,8 @@ struct CostCapsule {
 
 fn capsule_key(job: &JobSpec) -> PlanKey {
     PlanKey {
-        engine: job.engine,
-        d: job.d,
+        engine: job.engine.name(),
+        d: job.engine.dim(),
         n: job.n,
         p: job.p,
         m: job.m,
@@ -441,7 +329,10 @@ fn capsule_key(job: &JobSpec) -> PlanKey {
         core: 0,
         extra: 0,
         // The full canonical plan text, not a hash: no collisions.
-        salt: format!("capsule|{}", job.faults.as_deref().unwrap_or("")),
+        salt: format!(
+            "capsule|{}",
+            job.faults.map(|f| f.to_json()).unwrap_or_default()
+        ),
     }
 }
 
@@ -463,13 +354,6 @@ pub struct JobOutcome {
     pub cache_hit: bool,
 }
 
-fn stamp_regime(trace: &mut RunTrace, d: u8, n: u64, m: u64, p: u64) {
-    trace.summary.regime = format!(
-        "{:?}",
-        bsmp_analytic::theorem1::range(d, n as f64, m as f64, p as f64)
-    );
-}
-
 /// Execute one job: cold path through the engine (memoizing the cost
 /// capsule on success), warm path through the direct guest run + the
 /// capsule.  Results are bit-identical either way.
@@ -480,7 +364,7 @@ pub fn run_job(job: &JobSpec) -> Result<JobOutcome, SimError> {
         // A hit that needs a trace the capsule lacks falls through to a
         // cold run (which upgrades the entry).
         if !want_trace || c.trace.is_some() {
-            let guest = run_guest(job.d, job.n, job.m, job.steps, job.seed)?;
+            let guest = run_guest(job.engine.dim(), job.n, job.m, job.steps, job.seed)?;
             let report = SimReport {
                 mem: guest.mem,
                 values: guest.values,
@@ -494,9 +378,7 @@ pub fn run_job(job: &JobSpec) -> Result<JobOutcome, SimError> {
             };
             let trace = if want_trace { c.trace.clone() } else { None };
             let cert = match (&trace, job.certify) {
-                (Some(t), true) => Some(certify(t).map_err(|e| SimError::Uncertifiable {
-                    message: e.to_string(),
-                })?),
+                (Some(t), true) => Some(certify(t)?),
                 _ => None,
             };
             return Ok(JobOutcome {
@@ -507,18 +389,14 @@ pub fn run_job(job: &JobSpec) -> Result<JobOutcome, SimError> {
             });
         }
     }
-    let plan = match &job.faults {
-        Some(src) => FaultPlan::from_json(src)?,
-        None => FaultPlan::none(),
-    };
+    let plan = job.faults.unwrap_or_default();
     let mut tracer = if want_trace {
         Tracer::recording()
     } else {
         Tracer::off()
     };
-    let report = run_shape(
+    let report = run_engine(
         job.engine,
-        job.d,
         job.n,
         job.m,
         job.p,
@@ -527,14 +405,9 @@ pub fn run_job(job: &JobSpec) -> Result<JobOutcome, SimError> {
         &plan,
         &mut tracer,
     )?;
-    let trace = tracer.take().map(|mut t| {
-        stamp_regime(&mut t, job.d, job.n, job.m, job.p);
-        t
-    });
+    let trace = want_trace.then(|| crate::take_stamped(tracer));
     let cert = match (&trace, job.certify) {
-        (Some(t), true) => Some(certify(t).map_err(|e| SimError::Uncertifiable {
-            message: e.to_string(),
-        })?),
+        (Some(t), true) => Some(certify(t)?),
         _ => None,
     };
     let capsule = CostCapsule {
@@ -582,7 +455,7 @@ pub fn result_line(job: &JobSpec, out: &JobOutcome) -> String {
          \"space\": {}, \"stages\": {}, \"mem_fp\": \"{:#018x}\", \"values_fp\": \"{:#018x}\"",
         job.id,
         job.engine,
-        job.d,
+        job.engine.dim(),
         job.n,
         job.m,
         job.p,
@@ -777,8 +650,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(job.id, 7);
-        assert_eq!(job.engine, "dnc1");
-        assert_eq!(job.d, 1);
+        assert_eq!(job.engine, Engine::Dnc1);
+        assert_eq!(job.engine.dim(), 1);
         assert_eq!((job.n, job.m, job.p, job.steps), (64, 16, 1, 64));
         assert_eq!(job.seed, default_seed(64, 16, 1));
         assert!(job.trace && !job.certify);
@@ -787,7 +660,9 @@ mod tests {
 
     #[test]
     fn parse_job_rejects_garbage_with_typed_errors() {
+        let deep = "[".repeat(10_000);
         for (line, needle) in [
+            (deep.as_str(), "nesting"),
             ("not json at all", "unparseable"),
             ("[1, 2]", "object"),
             (

@@ -1,11 +1,13 @@
 //! Hand-rolled JSON (de)serialization for [`FaultPlan`] — the on-disk
 //! scenario format behind the CLI's `--faults <plan.json>` flag.
 //!
-//! The workspace is dependency-free by policy, so the reader is a small
-//! recursive-descent parser over exactly the subset the schema needs:
-//! one object of optional sections, each an object of numeric fields.
-//! Every section is optional and defaults to its `None` model, so `{}`
-//! parses to [`FaultPlan::none`].
+//! Documents are read with the workspace's shared codec
+//! ([`bsmp_trace::json`]); the schema is one object of optional
+//! sections, each an object of numeric fields.  Every section is
+//! optional and defaults to its `None` model, so `{}` parses to
+//! [`FaultPlan::none`].  Plan fields accept only JSON numbers: the
+//! codec's `null`-as-NaN reading exists for trace round-trips, and a
+//! plan must never pick it up.
 //!
 //! ```json
 //! {
@@ -32,6 +34,8 @@
 use std::error::Error;
 use std::fmt;
 
+use bsmp_trace::json::{num, parse, Val};
+
 use crate::plan::{
     ChurnModel, CrashModel, FaultPlan, LinkModel, LossModel, OutageModel, Region, SlowdownModel,
 };
@@ -57,133 +61,20 @@ fn err<T>(message: impl Into<String>) -> Result<T, PlanParseError> {
     })
 }
 
-/// The JSON subset the plan schema uses.
-#[derive(Clone, Debug, PartialEq)]
-enum Val {
-    Num(f64),
-    Str(String),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn get(&self, key: &str) -> Option<&Val> {
-        match self {
-            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn keys(&self) -> Vec<&str> {
-        match self {
-            Val::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => Vec::new(),
-        }
+/// Keys of an object value (empty for any other value).
+fn keys(v: &Val) -> Vec<&str> {
+    match v {
+        Val::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, PlanParseError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(&b) => Ok(b),
-            None => err("unexpected end of input"),
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), PlanParseError> {
-        if self.peek()? != b {
-            return err(format!("expected '{}' at byte {}", char::from(b), self.pos));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Val, PlanParseError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'"' => Ok(Val::Str(self.string()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Val, PlanParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, PlanParseError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| PlanParseError {
-                        message: "invalid UTF-8 in string".into(),
-                    })?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return err("escape sequences are not used by the plan schema");
-            }
-            self.pos += 1;
-        }
-        err("unterminated string")
-    }
-
-    fn number(&mut self) -> Result<Val, PlanParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return err(format!("expected a value at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        match text.parse::<f64>() {
-            Ok(x) => Ok(Val::Num(x)),
-            Err(_) => err(format!("bad number '{text}' at byte {start}")),
-        }
+/// An optional section of the plan: absent, or an object.
+fn section<'v>(doc: &'v Val, key: &str) -> Result<Option<&'v Val>, PlanParseError> {
+    match doc.get(key) {
+        None => Ok(None),
+        Some(v @ Val::Obj(_)) => Ok(Some(v)),
+        Some(_) => err(format!("'{key}' must be an object")),
     }
 }
 
@@ -213,7 +104,7 @@ fn get_u32(v: &Val, key: &str, section: &str) -> Result<u32, PlanParseError> {
 }
 
 fn check_keys(v: &Val, allowed: &[&str], section: &str) -> Result<(), PlanParseError> {
-    for k in v.keys() {
+    for k in keys(v) {
         if !allowed.contains(&k) {
             return err(format!("unknown field '{k}' in '{section}'"));
         }
@@ -285,17 +176,17 @@ impl FaultPlan {
     /// back as [`PlanParseError`]; run
     /// [`FaultPlan::validate`] afterwards for the semantic checks.
     pub fn from_json(src: &str) -> Result<FaultPlan, PlanParseError> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        let doc = p.object()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return err(format!("trailing data at byte {}", p.pos));
+        FaultPlan::from_val(&parse(src).map_err(|message| PlanParseError { message })?)
+    }
+
+    /// [`FaultPlan::from_json`] over an already-parsed document (a plan
+    /// embedded in a larger one, such as a serve request).
+    pub fn from_val(doc: &Val) -> Result<FaultPlan, PlanParseError> {
+        if !matches!(doc, Val::Obj(_)) {
+            return err("a plan must be a JSON object");
         }
         check_keys(
-            &doc,
+            doc,
             &[
                 "seed", "slowdown", "link", "loss", "crash", "outage", "churn",
             ],
@@ -303,25 +194,25 @@ impl FaultPlan {
         )?;
         let mut plan = FaultPlan::none();
         if doc.get("seed").is_some() {
-            plan.seed = get_u64(&doc, "seed", "plan")?;
+            plan.seed = get_u64(doc, "seed", "plan")?;
         }
-        if let Some(v) = doc.get("slowdown") {
+        if let Some(v) = section(doc, "slowdown")? {
             plan.slowdown = parse_slowdown(v)?;
         }
-        if let Some(v) = doc.get("link") {
+        if let Some(v) = section(doc, "link")? {
             check_keys(v, &["spread"], "link")?;
             plan.link = LinkModel::Asymmetric {
                 spread: get_f64(v, "spread", "link")?,
             };
         }
-        if let Some(v) = doc.get("loss") {
+        if let Some(v) = section(doc, "loss")? {
             check_keys(v, &["loss_permille", "max_retries"], "loss")?;
             plan.loss = LossModel::Bernoulli {
                 loss_permille: get_u32(v, "loss_permille", "loss")?,
                 max_retries: get_u32(v, "max_retries", "loss")?,
             };
         }
-        if let Some(v) = doc.get("crash") {
+        if let Some(v) = section(doc, "crash")? {
             if v.get("at_stage").is_some() || v.get("proc").is_some() {
                 check_keys(v, &["at_stage", "proc"], "crash")?;
                 plan.crash = CrashModel::AtStage {
@@ -335,7 +226,7 @@ impl FaultPlan {
                 };
             }
         }
-        if let Some(v) = doc.get("outage") {
+        if let Some(v) = section(doc, "outage")? {
             check_keys(v, &["region", "onset", "duration", "period"], "outage")?;
             plan.outage = OutageModel::Storm {
                 region: parse_region(v)?,
@@ -347,7 +238,7 @@ impl FaultPlan {
                 },
             };
         }
-        if let Some(v) = doc.get("churn") {
+        if let Some(v) = section(doc, "churn")? {
             check_keys(
                 v,
                 &[
@@ -373,13 +264,6 @@ impl FaultPlan {
 
     /// Serialize to the JSON document [`FaultPlan::from_json`] reads.
     pub fn to_json(&self) -> String {
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                "null".to_string()
-            }
-        }
         let mut sections: Vec<String> = vec![format!("  \"seed\": {}", self.seed)];
         match self.slowdown {
             SlowdownModel::None => {}
@@ -529,6 +413,7 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_typed_errors() {
+        let deep = "{\"a\": ".repeat(100_000);
         for bad in [
             "",
             "{",
@@ -541,6 +426,13 @@ mod tests {
             "{\"outage\": {\"onset\": 1, \"duration\": 1}}",
             "{\"churn\": {\"leave_permille\": 10}}",
             "{} trailing",
+            "{\"seed\": null}",
+            "{\"seed\": [1]}",
+            "{\"seed\": true}",
+            "{\"loss\": [50, 4]}",
+            "{\"link\": {\"spread\": false}}",
+            "{\"slowdown\": {\"model\": \"jit\\\"ter\", \"lo\": 1, \"hi\": 2}}",
+            &deep,
         ] {
             let e = FaultPlan::from_json(bad).unwrap_err();
             assert!(!e.to_string().is_empty(), "no message for {bad:?}");

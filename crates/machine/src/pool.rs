@@ -585,7 +585,7 @@ impl Drop for ScratchLease {
 /// arena (allocating a fresh one only when the free list is empty).
 /// Each lease is exclusively owned by its request — engines hold no
 /// buffers of their own between runs, which is what makes every
-/// `try_simulate_*` path re-entrant.
+/// engine run re-entrant.
 pub fn lease_scratch(p: usize) -> ScratchLease {
     let parked = SCRATCH_ARENA.free.lock().unwrap().pop();
     let mut scratch = parked.unwrap_or_else(|| StageScratch::new(p));

@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::Word;
 use bsmp_machine::{linear_guest_time, plan_cache, LinearProgram, MachineSpec, PlanKey};
-use bsmp_trace::{RunMeta, StageTotals, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec1::{DiamondExec, DiamondPlan};
 use crate::report::SimReport;
+use crate::RunOpts;
 
 /// Cache key of the frozen [`DiamondPlan`] for one decomposition shape.
 /// The plan is pure geometry — guest program identity, cost model, and
@@ -76,53 +76,48 @@ pub(crate) fn harvest_plan<P: LinearProgram>(
 }
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on the uniprocessor
-/// `M_1(n, 1, m)` with the paper's leaf size (`D(m)` executable
-/// diamonds), with preconditions checked.
-pub fn try_simulate_dnc1(
+/// `M_1(n, 1, m)` by divide and conquer.  Reads the
+/// fault plan, leaf radius and tracer of `opts`; the leaf radius
+/// defaults to the paper's executable diamonds (radius `max(m/2, 1)`),
+/// and an explicit one serves the ablation benches (leaf size trades
+/// recursion overhead against naive-execution locality loss).  An
+/// active fault plan applies to the run treated as one bulk stage (the
+/// uniprocessor view of DESIGN.md §14);
+/// [`FaultPlan::none`](bsmp_faults::FaultPlan::none) takes the plain
+/// path bit-identically.
+pub fn run(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    try_simulate_dnc1_with_leaf(spec, prog, init, steps, leaf_h)
+    let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
+    let meta = RunMeta {
+        engine: Engine::Dnc1,
+        n: spec.n,
+        m: spec.m,
+        p: 1,
+        steps: steps.max(0) as u64,
+    };
+    crate::uniprocessor_run(
+        opts,
+        meta,
+        spec.neighbor_distance(),
+        spec.node_mem(),
+        |tracer, meta| run_clean(spec, prog, init, steps, leaf_h, tracer, meta),
+    )
 }
 
-/// Simulate `steps` guest steps of `M_1(n, n, m)` on the uniprocessor
-/// `M_1(n, 1, m)` with the paper's leaf size (`D(m)` executable
-/// diamonds).
-pub fn simulate_dnc1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_dnc1(spec, prog, init, steps).unwrap_or_else(|e| panic!("dnc1: {e}"))
-}
-
-/// As [`try_simulate_dnc1`] with an explicit leaf radius (for the
-/// ablation benches: leaf size trades recursion overhead against
-/// naive-execution locality loss).
-pub fn try_simulate_dnc1_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc1_traced(spec, prog, init, steps, leaf_h, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc1_with_leaf`] with a [`Tracer`] observing the run.
-/// Uniprocessor engines are a single bulk stage from the tracer's point
-/// of view: one record carries the whole run's totals.
-pub fn try_simulate_dnc1_traced(
+/// The fault-free run, observed by `tracer` as a single bulk stage.
+fn run_clean(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
     leaf_h: i64,
     tracer: &mut Tracer,
+    meta: RunMeta,
 ) -> Result<SimReport, SimError> {
     if spec.d != 1 {
         return Err(SimError::DimensionMismatch {
@@ -132,7 +127,7 @@ pub fn try_simulate_dnc1_traced(
     }
     if spec.p != 1 {
         return Err(SimError::UniprocessorOnly {
-            engine: "dnc1",
+            engine: Engine::Dnc1,
             p: spec.p,
         });
     }
@@ -155,101 +150,10 @@ pub fn try_simulate_dnc1_traced(
     let (key, cached) = adopt_plan(&mut exec, spec.n, spec.m, steps, leaf_h);
     let (mem, values) = exec.run(init)?;
     harvest_plan(&mut exec, key, cached);
-    let host_time = exec.ram.time();
-    if let Some(tl) = tracer.tally() {
-        tl.add(0, spec.n * steps.max(0) as u64, 0);
-    }
-    tracer.end_stage(
-        StageTotals {
-            parallel: host_time,
-            busy: host_time,
-            comm: exec.ram.meter.comm,
-            ..StageTotals::default()
-        },
-        1,
-    );
     let guest_time = linear_guest_time(spec, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: "dnc1",
-            d: 1,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        host_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values,
-        host_time,
-        guest_time,
-        meter: exec.ram.meter,
-        space: exec.ram.high_water(),
-        stages: 0,
-        faults: FaultStats::default(),
-        core_fallback: None,
-    })
-}
-
-/// As [`try_simulate_dnc1`] with a fault scenario applied to the run
-/// treated as one bulk stage (the uniprocessor view of DESIGN.md §14:
-/// jitter, asymmetry, outage windows, and churn scale the whole run).
-/// A [`FaultPlan::none`] plan takes the plain path bit-identically.
-pub fn try_simulate_dnc1_faulted(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc1_faulted_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc1_faulted`] with a [`Tracer`] observing the run.
-pub fn try_simulate_dnc1_faulted_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    plan.validate()?;
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    if plan.is_none() {
-        return try_simulate_dnc1_traced(spec, prog, init, steps, leaf_h, tracer);
-    }
-    let rep = try_simulate_dnc1_with_leaf(spec, prog, init, steps, leaf_h)?;
-    crate::scenario_over_report(
-        rep,
-        RunMeta {
-            engine: "dnc1",
-            d: 1,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        spec.neighbor_distance(),
-        spec.node_mem(),
-        plan,
-        tracer,
-    )
-}
-
-/// As [`simulate_dnc1`] with an explicit leaf radius.
-pub fn simulate_dnc1_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> SimReport {
-    try_simulate_dnc1_with_leaf(spec, prog, init, steps, leaf_h)
-        .unwrap_or_else(|e| panic!("dnc1: {e}"))
+    Ok(crate::bulk_report(
+        tracer, meta, &exec.ram, mem, values, guest_time,
+    ))
 }
 
 #[cfg(test)]
@@ -261,7 +165,7 @@ mod tests {
     fn check_equiv(prog: &impl LinearProgram, n: u64, steps: i64, init: &[Word]) -> SimReport {
         let spec = MachineSpec::new(1, n, 1, prog.m() as u64);
         let guest = run_linear(&spec, prog, init, steps);
-        let rep = simulate_dnc1(&spec, prog, init, steps);
+        let rep = run(&spec, prog, init, steps, RunOpts::default()).unwrap();
         rep.assert_matches(&guest.mem, &guest.values);
         rep
     }
@@ -332,8 +236,9 @@ mod tests {
         let n = 512u64;
         let init = inputs::random_bits(23, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        let dnc = simulate_dnc1(&spec, &Eca::rule90(), &init, n as i64);
-        let naive = crate::naive1::simulate_naive1(&spec, &Eca::rule90(), &init, n as i64);
+        let dnc = run(&spec, &Eca::rule90(), &init, n as i64, RunOpts::default()).unwrap();
+        let naive =
+            crate::naive1::run(&spec, &Eca::rule90(), &init, n as i64, RunOpts::default()).unwrap();
         assert!(
             dnc.host_time < naive.host_time / 1.3,
             "D&C {} should beat naive {}",
@@ -379,9 +284,9 @@ mod tests {
         let init = inputs::random_bits(31, 16);
         let spec = MachineSpec::new(1, 16, 4, 1);
         assert_eq!(
-            try_simulate_dnc1(&spec, &Eca::rule110(), &init, 4).err(),
+            run(&spec, &Eca::rule110(), &init, 4, RunOpts::default()).err(),
             Some(SimError::UniprocessorOnly {
-                engine: "dnc1",
+                engine: Engine::Dnc1,
                 p: 4
             })
         );
@@ -394,7 +299,8 @@ mod tests {
         let spec = MachineSpec::new(1, n, 1, 1);
         let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
         for leaf in [1i64, 2, 4, 8] {
-            let rep = simulate_dnc1_with_leaf(&spec, &Eca::rule110(), &init, n as i64, leaf);
+            let opts = RunOpts::default().leaf(leaf);
+            let rep = run(&spec, &Eca::rule110(), &init, n as i64, opts).unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
     }

@@ -4,58 +4,58 @@
 //! with slowdown `O(n log n)`; the `m > 1` generalization mirrors
 //! Theorem 3 with *executable cells* of radius `~m/2`.
 
-use bsmp_faults::{FaultPlan, FaultStats};
 use bsmp_hram::Word;
 use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
-use bsmp_trace::{RunMeta, StageTotals, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec2::CellExec;
 use crate::report::SimReport;
+use crate::RunOpts;
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on the uniprocessor
-/// `M_2(n, 1, m)`, with preconditions checked.
-pub fn try_simulate_dnc2(
+/// `M_2(n, 1, m)` by divide and conquer.  Reads the
+/// fault plan, leaf radius and tracer of `opts`; the leaf radius
+/// defaults to the paper's executable cells (radius `max(m/2, 1)`),
+/// and an explicit one serves the ablation benches (leaf size trades
+/// recursion overhead against naive-execution locality loss).  An
+/// active fault plan applies to the run treated as one bulk stage (the
+/// uniprocessor view of DESIGN.md §14);
+/// [`FaultPlan::none`](bsmp_faults::FaultPlan::none) takes the plain
+/// path bit-identically.
+pub fn run(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    try_simulate_dnc2_with_leaf(spec, prog, init, steps, leaf_h)
+    let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
+    let meta = RunMeta {
+        engine: Engine::Dnc2,
+        n: spec.n,
+        m: spec.m,
+        p: 1,
+        steps: steps.max(0) as u64,
+    };
+    crate::uniprocessor_run(
+        opts,
+        meta,
+        spec.neighbor_distance(),
+        spec.node_mem(),
+        |tracer, meta| run_clean(spec, prog, init, steps, leaf_h, tracer, meta),
+    )
 }
 
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on the uniprocessor
-/// `M_2(n, 1, m)`.
-pub fn simulate_dnc2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_dnc2(spec, prog, init, steps).unwrap_or_else(|e| panic!("dnc2: {e}"))
-}
-
-/// As [`try_simulate_dnc2`] with an explicit leaf radius.
-pub fn try_simulate_dnc2_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc2_traced(spec, prog, init, steps, leaf_h, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc2_with_leaf`] with a [`Tracer`] observing the run
-/// as a single bulk stage.
-pub fn try_simulate_dnc2_traced(
+/// The fault-free run, observed by `tracer` as a single bulk stage.
+fn run_clean(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
     leaf_h: i64,
     tracer: &mut Tracer,
+    meta: RunMeta,
 ) -> Result<SimReport, SimError> {
     if spec.d != 2 {
         return Err(SimError::DimensionMismatch {
@@ -65,7 +65,7 @@ pub fn try_simulate_dnc2_traced(
     }
     if spec.p != 1 {
         return Err(SimError::UniprocessorOnly {
-            engine: "dnc2",
+            engine: Engine::Dnc2,
             p: spec.p,
         });
     }
@@ -86,100 +86,10 @@ pub fn try_simulate_dnc2_traced(
     tracer.begin_stage("run");
     let mut exec = CellExec::new(spec, prog, steps, leaf_h);
     let (mem, values) = exec.run(init)?;
-    let host_time = exec.ram.time();
-    if let Some(tl) = tracer.tally() {
-        tl.add(0, spec.n * steps.max(0) as u64, 0);
-    }
-    tracer.end_stage(
-        StageTotals {
-            parallel: host_time,
-            busy: host_time,
-            comm: exec.ram.meter.comm,
-            ..StageTotals::default()
-        },
-        1,
-    );
     let guest_time = mesh_guest_time(spec, prog, steps);
-    tracer.finish_run(
-        RunMeta {
-            engine: "dnc2",
-            d: 2,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        host_time,
-        guest_time,
-    );
-    Ok(SimReport {
-        mem,
-        values,
-        host_time,
-        guest_time,
-        meter: exec.ram.meter,
-        space: exec.ram.high_water(),
-        stages: 0,
-        faults: FaultStats::default(),
-        core_fallback: None,
-    })
-}
-
-/// As [`try_simulate_dnc2`] with a fault scenario applied to the run
-/// treated as one bulk stage (the uniprocessor view of DESIGN.md §14).
-/// A [`FaultPlan::none`] plan takes the plain path bit-identically.
-pub fn try_simulate_dnc2_faulted(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_dnc2_faulted_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_dnc2_faulted`] with a [`Tracer`] observing the run.
-pub fn try_simulate_dnc2_faulted_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    plan.validate()?;
-    let leaf_h = (prog.m() as i64 / 2).max(1);
-    if plan.is_none() {
-        return try_simulate_dnc2_traced(spec, prog, init, steps, leaf_h, tracer);
-    }
-    let rep = try_simulate_dnc2_with_leaf(spec, prog, init, steps, leaf_h)?;
-    crate::scenario_over_report(
-        rep,
-        RunMeta {
-            engine: "dnc2",
-            d: 2,
-            n: spec.n,
-            m: spec.m,
-            p: 1,
-            steps: steps.max(0) as u64,
-        },
-        spec.neighbor_distance(),
-        spec.node_mem(),
-        plan,
-        tracer,
-    )
-}
-
-/// As [`simulate_dnc2`] with an explicit leaf radius.
-pub fn simulate_dnc2_with_leaf(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    leaf_h: i64,
-) -> SimReport {
-    try_simulate_dnc2_with_leaf(spec, prog, init, steps, leaf_h)
-        .unwrap_or_else(|e| panic!("dnc2: {e}"))
+    Ok(crate::bulk_report(
+        tracer, meta, &exec.ram, mem, values, guest_time,
+    ))
 }
 
 #[cfg(test)]
@@ -191,7 +101,7 @@ mod tests {
     fn check_equiv(prog: &impl MeshProgram, n: u64, steps: i64, init: &[Word]) -> SimReport {
         let spec = MachineSpec::new(2, n, 1, prog.m() as u64);
         let guest = run_mesh(&spec, prog, init, steps);
-        let rep = simulate_dnc2(&spec, prog, init, steps);
+        let rep = run(&spec, prog, init, steps, RunOpts::default()).unwrap();
         rep.assert_matches(&guest.mem, &guest.values);
         rep
     }
@@ -238,19 +148,16 @@ mod tests {
 
     #[test]
     fn dnc2_beats_naive2_shape() {
+        let life = VonNeumannLife::fredkin();
         // Theorem 5 vs Proposition 1 (d = 2): n·log n vs n^{3/2} — check
         // the growth-rate gap over a 4× size increase.
         let run = |side: u64| {
             let n = side * side;
             let init = inputs::random_bits(36, n as usize);
             let spec = MachineSpec::new(2, n, 1, 1);
-            let d = simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64);
-            let v = crate::naive2::simulate_naive2(
-                &spec,
-                &VonNeumannLife::fredkin(),
-                &init,
-                side as i64,
-            );
+            let d = run(&spec, &life, &init, side as i64, RunOpts::default()).unwrap();
+            let v =
+                crate::naive2::run(&spec, &life, &init, side as i64, RunOpts::default()).unwrap();
             (d.slowdown(), v.slowdown())
         };
         let (d8, v8) = run(8);
@@ -272,12 +179,13 @@ mod tests {
 
     #[test]
     fn multiprocessor_spec_is_rejected() {
+        let life = VonNeumannLife::fredkin();
         let init = inputs::random_bits(38, 16);
         let spec = MachineSpec::new(2, 16, 4, 1);
         assert_eq!(
-            try_simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, 4).err(),
+            run(&spec, &life, &init, 4, RunOpts::default()).err(),
             Some(SimError::UniprocessorOnly {
-                engine: "dnc2",
+                engine: Engine::Dnc2,
                 p: 4
             })
         );
@@ -285,6 +193,7 @@ mod tests {
 
     #[test]
     fn space_scales_with_surface_not_volume() {
+        let life = VonNeumannLife::fredkin();
         // Proposition 3 (γ = 2/3): σ(|V|) = O(|V|^{2/3}) = O(n) for
         // T = √n: quadrupling n (×8 vertices) should ×4 the space.
         let side_a = 8u64;
@@ -293,7 +202,9 @@ mod tests {
             let n = side * side;
             let init = inputs::random_bits(37, n as usize);
             let spec = MachineSpec::new(2, n, 1, 1);
-            simulate_dnc2(&spec, &VonNeumannLife::fredkin(), &init, side as i64).space as f64
+            run(&spec, &life, &init, side as i64, RunOpts::default())
+                .unwrap()
+                .space as f64
         };
         let ratio = sp(side_b) / sp(side_a);
         assert!(

@@ -1,11 +1,13 @@
-//! The engines' error surface: every parameter-validation failure that
-//! used to panic is an explicit [`SimError`] on the `try_` paths.
+//! The engines' error surface: every parameter-validation failure is an
+//! explicit [`SimError`], never a panic.
 
 use std::error::Error;
 use std::fmt;
 
 use bsmp_faults::{FaultError, FaultStats, PlanParseError, ScenarioExhausted};
 use bsmp_machine::{SpecError, StagePanic};
+use bsmp_trace::certify::CertifyError;
+use bsmp_trace::Engine;
 
 /// Why an engine refused to run (or, for `OutputMismatch`, why a
 /// result check failed).
@@ -30,7 +32,7 @@ pub enum SimError {
     /// An explicitly requested strip width is inadmissible.
     InvalidStrip { s: u64, n: u64, p: u64 },
     /// A divide-and-conquer engine was asked to run with `p > 1`.
-    UniprocessorOnly { engine: &'static str, p: u64 },
+    UniprocessorOnly { engine: Engine, p: u64 },
     /// Machine parameters failed Definition 2 validation.
     Spec(SpecError),
     /// The fault plan's parameters are invalid.
@@ -199,6 +201,14 @@ impl From<PlanParseError> for SimError {
     }
 }
 
+impl From<CertifyError> for SimError {
+    fn from(e: CertifyError) -> Self {
+        SimError::Uncertifiable {
+            message: e.to_string(),
+        }
+    }
+}
+
 impl From<ScenarioExhausted> for SimError {
     fn from(e: ScenarioExhausted) -> Self {
         SimError::ScenarioExhausted {
@@ -237,7 +247,7 @@ mod tests {
             SimError::NoAdmissibleStrip { n: 16, m: 1, p: 8 },
             SimError::InvalidStrip { s: 3, n: 16, p: 8 },
             SimError::UniprocessorOnly {
-                engine: "dnc1",
+                engine: Engine::Dnc1,
                 p: 4,
             },
             SimError::Spec(SpecError::ProcessorsOutOfRange { n: 4, p: 8 }),

@@ -30,7 +30,7 @@ use bsmp_hram::{CostMeter, CostTable, Word};
 use bsmp_machine::{
     lease_scratch, ExecPolicy, Frontier, LinearProgram, MachineSpec, SparseState, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::naive1::try_simulate_naive1_impl;
@@ -69,11 +69,11 @@ impl EventCoreStats {
     }
 }
 
-/// [`crate::naive1::try_simulate_naive1_traced`] on the event core.
+/// The dense [`crate::naive1`] stage loop on the event core.
 /// Bit-identical report and trace; falls back to the dense loop when
 /// the run does not satisfy the core's preconditions.
 #[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive1_event(
+pub(crate) fn naive1_event(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
@@ -396,8 +396,7 @@ fn naive1_event_impl(
     };
     tracer.finish_run(
         RunMeta {
-            engine: "naive1",
-            d: 1,
+            engine: Engine::Naive1,
             n: spec.n,
             m: spec.m,
             p: spec.p,

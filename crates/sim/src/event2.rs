@@ -26,51 +26,12 @@ use bsmp_hram::{CostMeter, CostTable, Word};
 use bsmp_machine::{
     lease_scratch, ExecPolicy, Frontier, MachineSpec, MeshProgram, SparseState, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
-use crate::event1::EventCoreStats;
 use crate::naive2::try_simulate_naive2_impl;
 use crate::report::SimReport;
 use crate::{settle_scenario, stage_totals};
-
-/// [`crate::naive2::try_simulate_naive2_traced`] on the event core.
-/// Bit-identical report and trace; falls back to the dense loop when
-/// the run does not satisfy the core's preconditions.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive2_event(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    naive2_event_impl(spec, prog, init, steps, plan, exec, tracer, None)
-}
-
-/// Run the event core fault-free and report its resident footprint
-/// alongside the simulation report (the `bench --mem` probe).
-pub fn naive2_event_footprint(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<(SimReport, EventCoreStats), SimError> {
-    let mut stats = EventCoreStats::default();
-    let rep = naive2_event_impl(
-        spec,
-        prog,
-        init,
-        steps,
-        &FaultPlan::none(),
-        ExecPolicy::auto(),
-        &mut Tracer::off(),
-        Some(&mut stats),
-    )?;
-    Ok((rep, stats))
-}
 
 /// Per-side-class replica of one processor's dense meter trajectory.
 struct SideClass {
@@ -81,8 +42,10 @@ struct SideClass {
     comm_delta: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn naive2_event_impl(
+/// The dense [`crate::naive2`] stage loop on the event core.
+/// Bit-identical report and trace; falls back to the dense loop when
+/// the run does not satisfy the core's preconditions.
+pub(crate) fn naive2_event(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
@@ -90,7 +53,6 @@ fn naive2_event_impl(
     plan: &FaultPlan,
     exec: ExecPolicy,
     tracer: &mut Tracer,
-    mut stats: Option<&mut EventCoreStats>,
 ) -> Result<SimReport, SimError> {
     if spec.d != 2 {
         return Err(SimError::DimensionMismatch {
@@ -130,11 +92,6 @@ fn naive2_event_impl(
         } else {
             "clock-reading program (quiescence unsound)"
         };
-        if let Some(st) = stats.as_deref_mut() {
-            st.nodes = n;
-            st.used_event_core = false;
-            st.fallback = Some(reason);
-        }
         let mut rep = try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)?;
         rep.core_fallback = Some(reason);
         return Ok(rep);
@@ -209,10 +166,6 @@ fn naive2_event_impl(
     let mut state = SparseState::new(init);
     let mut frontier = Frontier::new();
     let mut writes: Vec<(usize, Word)> = Vec::new();
-    if let Some(st) = stats.as_deref_mut() {
-        st.nodes = n;
-        st.used_event_core = true;
-    }
 
     // The shared access chain: the dense kernel's register accumulator,
     // continued across stages.  At m = 1 the touched block address of
@@ -296,7 +249,6 @@ fn naive2_event_impl(
 
         // Values on the von Neumann neighborhood: gather-then-write.
         writes.clear();
-        let mut active = 0usize;
         {
             let bd = prog.boundary();
             let mut eval = |v: usize| {
@@ -316,13 +268,11 @@ fn naive2_event_impl(
                 }
             };
             if t == 1 {
-                active = n;
                 for v in 0..n {
                     eval(v);
                 }
             } else {
                 for v in frontier.drain(t) {
-                    active += 1;
                     eval(v);
                 }
             }
@@ -355,15 +305,6 @@ fn naive2_event_impl(
         }
         clock.add_stage_faulted(&scratch.per_proc, &scratch.per_comm, &mut session)?;
         tracer.end_stage(stage_totals(&clock, &session.stats), threads);
-
-        if let Some(st) = stats.as_deref_mut() {
-            let resident = state.bytes_resident()
-                + frontier.bytes()
-                + writes.capacity() * std::mem::size_of::<(usize, Word)>();
-            st.peak_bytes = st.peak_bytes.max(resident);
-            st.peak_active = st.peak_active.max(active);
-            st.total_active += active as u64;
-        }
     }
     settle_scenario(&mut clock, &mut session, tracer, threads);
 
@@ -387,8 +328,7 @@ fn naive2_event_impl(
     };
     tracer.finish_run(
         RunMeta {
-            engine: "naive2",
-            d: 2,
+            engine: Engine::Naive2,
             n: spec.n,
             m: spec.m,
             p: spec.p,

@@ -11,23 +11,37 @@
 //! 2. the host's model time `T_p` under the bounded-speed cost model,
 //!    which the benches compare against the analytic bounds.
 //!
-//! Engines:
+//! Engines — one module per [`Engine`], each with one `run` entry point:
 //!
-//! | module      | paper artifact                                   |
-//! |-------------|--------------------------------------------------|
-//! | [`naive1`]  | Proposition 1 / §4.2 naive, `d = 1`, any `p`     |
-//! | [`naive2`]  | Proposition 1 naive, `d = 2`, any square `p`     |
-//! | [`exec1`]   | Proposition 2 executor over diamond separators   |
-//! | [`dnc1`]    | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)       |
-//! | [`multi1`]  | Theorem 4 (two-regime multiprocessor, `d = 1`)   |
-//! | [`exec2`]   | Proposition 2 executor over octa/tetra cells     |
-//! | [`dnc2`]    | Theorem 5 (uniprocessor D&C, `d = 2`)            |
-//! | [`multi2`]  | Theorem 1 `d = 2` (two-regime, cost-accounted)   |
+//! | module          | engine                 | paper artifact                                   |
+//! |-----------------|------------------------|--------------------------------------------------|
+//! | [`naive1`]      | [`Engine::Naive1`]     | Proposition 1 / §4.2 naive, `d = 1`, any `p`     |
+//! | [`pipelined1`]  | [`Engine::Pipelined1`] | Section 6 pipelined-memory machine, `d = 1`      |
+//! | [`dnc1`]        | [`Engine::Dnc1`]       | Theorems 2 & 3 (uniprocessor D&C, `d = 1`)       |
+//! | [`multi1`]      | [`Engine::Multi1`]     | Theorem 4 (two-regime multiprocessor, `d = 1`)   |
+//! | [`naive2`]      | [`Engine::Naive2`]     | Proposition 1 naive, `d = 2`, any square `p`     |
+//! | [`dnc2`]        | [`Engine::Dnc2`]       | Theorem 5 (uniprocessor D&C, `d = 2`)            |
+//! | [`multi2`]      | [`Engine::Multi2`]     | Theorem 1 `d = 2` (two-regime, cost-accounted)   |
+//! | [`naive3`]      | [`Engine::Naive3`]     | Proposition 1 naive, `d = 3`, uniprocessor       |
+//! | [`dnc3`]        | [`Engine::Dnc3`]       | Section 6 conjecture (uniprocessor D&C, `d = 3`) |
+//!
+//! Supporting modules:
+//!
+//! | module      | role                                                        |
+//! |-------------|-------------------------------------------------------------|
+//! | [`exec1`]   | Proposition 2 executor over diamond separators (dnc1/multi1) |
+//! | [`exec2`]   | Proposition 2 executor over octa/tetra cells (dnc2/multi2)  |
+//! | [`exec3`]   | 4-D separator executor over the volume (dnc3)               |
+//! | [`event1`]  | event-driven sparse core behind `naive1` (`CoreKind::Event`) |
+//! | [`event2`]  | event-driven sparse core behind `naive2` (`CoreKind::Event`) |
+//!
+//! [`run_linear`], [`run_mesh`] and [`run_volume`] dispatch on [`Engine`]
+//! for the `d = 1`, `2` and `3` program families; every knob beyond
+//! machine, program, input and step count travels in [`RunOpts`].
 //!
 //! The instantaneous-model (Brent) baseline of experiment E10 is the
 //! naive engines run on a [`bsmp_machine::MachineSpec::instantaneous`]
-//! host; [`pipelined1`] implements Section 6's pipelined-memory machine
-//! (no locality slowdown).
+//! host.
 
 pub mod dnc1;
 pub mod dnc2;
@@ -42,12 +56,144 @@ pub mod multi1;
 pub mod multi2;
 pub mod naive1;
 pub mod naive2;
+pub mod naive3;
 pub mod pipelined1;
 pub mod report;
 pub mod zone;
 
+pub use bsmp_trace::Engine;
 pub use error::SimError;
 pub use report::SimReport;
+
+use bsmp_faults::FaultPlan;
+use bsmp_hram::Word;
+use bsmp_machine::{CoreKind, ExecPolicy, LinearProgram, MachineSpec, MeshProgram, VolumeProgram};
+use bsmp_trace::Tracer;
+
+/// Everything an engine run takes beyond machine, program, input and
+/// step count.  `RunOpts::default()` is the plain call: fault-free,
+/// automatic thread budget, dense core, the paper's leaf radius and
+/// strip width, tracing off.  Each engine reads the fields that apply
+/// to it and ignores the rest; no field ever changes a report's model
+/// figures except `plan`, `leaf` and `strip`.
+#[derive(Default)]
+pub struct RunOpts<'t> {
+    /// Fault scenario, validated at run time.
+    pub plan: FaultPlan,
+    /// Host-thread budget of the stage-parallel naive engines.
+    pub exec: ExecPolicy,
+    /// Execution core of naive1/naive2/multi1/multi2.
+    pub core: CoreKind,
+    /// Leaf radius of dnc1/dnc2; `None` picks the paper's `D(m)`
+    /// executable diamonds/cells (radius `max(m/2, 1)`).
+    pub leaf: Option<i64>,
+    /// Strip width of multi1; `None` picks the admissible width closest
+    /// to the paper's `s*` ([`multi1::engine_strip`]).
+    pub strip: Option<u64>,
+    /// Observer of every stage; `None` runs untraced.
+    pub tracer: Option<&'t mut Tracer>,
+}
+
+impl<'t> RunOpts<'t> {
+    /// Inject faults per `plan`.
+    pub fn plan(mut self, plan: FaultPlan) -> Self {
+        self.plan = plan;
+        self
+    }
+
+    /// Set the host-thread budget.
+    pub fn exec(mut self, exec: ExecPolicy) -> Self {
+        self.exec = exec;
+        self
+    }
+
+    /// Choose the execution core.
+    pub fn core(mut self, core: CoreKind) -> Self {
+        self.core = core;
+        self
+    }
+
+    /// Set an explicit D&C leaf radius.
+    pub fn leaf(mut self, leaf: i64) -> Self {
+        self.leaf = Some(leaf);
+        self
+    }
+
+    /// Set an explicit multi1 strip width.
+    pub fn strip(mut self, strip: u64) -> Self {
+        self.strip = Some(strip);
+        self
+    }
+
+    /// Record every stage into `tracer`.
+    pub fn tracer(mut self, tracer: &'t mut Tracer) -> Self {
+        self.tracer = Some(tracer);
+        self
+    }
+}
+
+/// Run a `d = 1` engine on a linear-array program.  An engine of
+/// another dimension is a [`SimError::DimensionMismatch`].
+pub fn run_linear(
+    engine: Engine,
+    spec: &MachineSpec,
+    prog: &impl LinearProgram,
+    init: &[Word],
+    steps: i64,
+    opts: RunOpts,
+) -> Result<SimReport, SimError> {
+    match engine {
+        Engine::Naive1 => naive1::run(spec, prog, init, steps, opts),
+        Engine::Multi1 => multi1::run(spec, prog, init, steps, opts),
+        Engine::Pipelined1 => pipelined1::run(spec, prog, init, steps, opts),
+        Engine::Dnc1 => dnc1::run(spec, prog, init, steps, opts),
+        other => Err(SimError::DimensionMismatch {
+            expected: 1,
+            got: other.dim(),
+        }),
+    }
+}
+
+/// Run a `d = 2` engine on a mesh program.  An engine of another
+/// dimension is a [`SimError::DimensionMismatch`].
+pub fn run_mesh(
+    engine: Engine,
+    spec: &MachineSpec,
+    prog: &impl MeshProgram,
+    init: &[Word],
+    steps: i64,
+    opts: RunOpts,
+) -> Result<SimReport, SimError> {
+    match engine {
+        Engine::Naive2 => naive2::run(spec, prog, init, steps, opts),
+        Engine::Multi2 => multi2::run(spec, prog, init, steps, opts),
+        Engine::Dnc2 => dnc2::run(spec, prog, init, steps, opts),
+        other => Err(SimError::DimensionMismatch {
+            expected: 2,
+            got: other.dim(),
+        }),
+    }
+}
+
+/// Run a `d = 3` engine on a volume program over the `side³` cube.  An
+/// engine of another dimension is a [`SimError::DimensionMismatch`].
+pub fn run_volume(
+    engine: Engine,
+    side: usize,
+    prog: &impl VolumeProgram,
+    init: &[Word],
+    steps: i64,
+    opts: RunOpts,
+) -> Result<SimReport, SimError> {
+    match engine {
+        Engine::Naive3 => naive3::run(side, prog, init, steps, opts),
+        Engine::Dnc3 => dnc3::run(side, prog, init, steps, opts),
+        other => Err(SimError::DimensionMismatch {
+            expected: 3,
+            got: other.dim(),
+        }),
+    }
+}
 
 /// Snapshot the cumulative stage-clock and fault counters into the shape
 /// the tracer differences at stage close.
@@ -84,6 +230,65 @@ pub(crate) fn settle_scenario(
     tracer.begin_stage("settle");
     clock.settle_faulted(session);
     tracer.end_stage(stage_totals(clock, &session.stats), workers);
+}
+
+/// The `run` of a uniprocessor engine whose fault-free `clean` run is
+/// one bulk stage: validate the plan, take the plain path when it
+/// injects nothing, and otherwise push the clean report through the
+/// scenario (see [`scenario_over_report`]).  `clean` receives the
+/// tracer to observe it and the run's metadata.
+pub(crate) fn uniprocessor_run(
+    opts: RunOpts,
+    meta: bsmp_trace::RunMeta,
+    hop: f64,
+    checkpoint_words: u64,
+    clean: impl FnOnce(&mut Tracer, bsmp_trace::RunMeta) -> Result<SimReport, SimError>,
+) -> Result<SimReport, SimError> {
+    let mut off = Tracer::off();
+    let tracer = opts.tracer.unwrap_or(&mut off);
+    opts.plan.validate()?;
+    if opts.plan.is_none() {
+        return clean(tracer, meta);
+    }
+    let rep = clean(&mut Tracer::off(), meta.clone())?;
+    scenario_over_report(rep, meta, hop, checkpoint_words, &opts.plan, tracer)
+}
+
+/// Close a uniprocessor run traced as one bulk stage: one record carries
+/// the whole run's totals, read off the engine's H-RAM.
+pub(crate) fn bulk_report(
+    tracer: &mut Tracer,
+    meta: bsmp_trace::RunMeta,
+    ram: &bsmp_hram::Hram,
+    mem: Vec<Word>,
+    values: Vec<Word>,
+    guest_time: f64,
+) -> SimReport {
+    let host_time = ram.time();
+    if let Some(tl) = tracer.tally() {
+        tl.add(0, meta.n * meta.steps, 0);
+    }
+    tracer.end_stage(
+        bsmp_trace::StageTotals {
+            parallel: host_time,
+            busy: host_time,
+            comm: ram.meter.comm,
+            ..bsmp_trace::StageTotals::default()
+        },
+        1,
+    );
+    tracer.finish_run(meta, host_time, guest_time);
+    SimReport {
+        mem,
+        values,
+        host_time,
+        guest_time,
+        meter: ram.meter,
+        space: ram.high_water(),
+        stages: 0,
+        faults: bsmp_faults::FaultStats::default(),
+        core_fallback: None,
+    }
 }
 
 /// Apply a fault scenario to a uniprocessor run treated as one bulk

@@ -59,7 +59,7 @@ use crate::error::SimError;
 use crate::exec1::{DiamondExec, DiamondPlan};
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// The strip rearrangement `π = π₂ ∘ π₁` of Section 4.2.
 pub mod rearrangement {
@@ -140,20 +140,6 @@ pub mod rearrangement {
     }
 }
 
-/// Tuning/introspection knobs for the multiprocessor engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Multi1Options {
-    /// Strip width `s`; `None` selects the paper's `s*` (rounded to a
-    /// power of two dividing `n/p`-compatible grids).
-    pub strip: Option<u64>,
-    /// Execution core: the dense tile loop, or the discrete-event
-    /// calendar that drains `D(ps)` tiles by center time.  Reports are
-    /// bit-identical either way (the tile cover is emitted in
-    /// non-decreasing center-time order, which the calendar replays
-    /// verbatim).
-    pub core: CoreKind,
-}
-
 /// Pick the engine's strip width: the admissible width (`s | n`,
 /// `p | n/s`, `s ≥ 2`) closest to the paper's `s*` in log-scale.
 /// Returns `None` when no admissible width exists (e.g. prime `n`) —
@@ -174,64 +160,22 @@ pub fn engine_strip(n: u64, m: u64, p: u64) -> Option<u64> {
     best.map(|(_, s)| s)
 }
 
-/// Simulate with the paper's optimal strip width, injecting faults per
-/// `plan`, with preconditions checked.
-pub fn try_simulate_multi1_faulted(
+/// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
+/// the two-regime scheme.  Reads the fault plan, strip width, core and
+/// tracer of `opts`; the strip width defaults to [`engine_strip`], an
+/// explicit one serves the strip-width sweeps of experiment E9.
+/// Reports are bit-identical across cores (the tile cover is emitted in
+/// non-decreasing center-time order, which the event calendar replays
+/// verbatim) and with the tracer on or off.
+pub fn run(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    try_simulate_multi1_opt_faulted(spec, prog, init, steps, Multi1Options::default(), plan)
-}
-
-/// Simulate with the paper's optimal strip width, with preconditions
-/// checked.
-pub fn try_simulate_multi1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate with the paper's optimal strip width.
-pub fn simulate_multi1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_multi1(spec, prog, init, steps).unwrap_or_else(|e| panic!("multi1: {e}"))
-}
-
-/// Simulate with explicit options and a fault plan, with preconditions
-/// checked.
-pub fn try_simulate_multi1_opt_faulted(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_traced(spec, prog, init, steps, opts, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_multi1_opt_faulted`] with a [`Tracer`] observing every
-/// rearrangement/gather/row/scatter stage.  A disabled tracer costs one
-/// `None` check per stage; the report is bit-identical either way.
-pub fn try_simulate_multi1_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
+    let mut off = Tracer::off();
+    let tracer = opts.tracer.unwrap_or(&mut off);
     let expected = spec.n as usize * prog.m();
     if init.len() != expected {
         return Err(SimError::InitLength {
@@ -239,8 +183,8 @@ pub fn try_simulate_multi1_traced(
             got: init.len(),
         });
     }
-    plan.validate()?;
-    let mut eng = Engine::new(spec, prog, steps, opts, plan)?;
+    opts.plan.validate()?;
+    let mut eng = Engine::new(spec, prog, steps, opts.strip, opts.core, &opts.plan)?;
     eng.tracer = std::mem::take(tracer);
     eng.tracer.ensure_procs(spec.p as usize);
     let outcome = eng.run(init);
@@ -250,43 +194,6 @@ pub fn try_simulate_multi1_traced(
     let rep = outcome.map(|()| eng.finish(spec, prog, steps));
     *tracer = std::mem::take(&mut eng.tracer);
     rep
-}
-
-/// [`try_simulate_multi1_traced`] with an explicit execution core: the
-/// dense tile loop or the discrete-event calendar ([`CoreKind::Event`]).
-/// Reports are bit-identical across cores.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_multi1_core(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-    plan: &FaultPlan,
-    core: CoreKind,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi1_traced(
-        spec,
-        prog,
-        init,
-        steps,
-        Multi1Options { core, ..opts },
-        plan,
-        tracer,
-    )
-}
-
-/// Simulate with explicit options (strip-width sweeps for experiment E9).
-pub fn simulate_multi1_opt(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    opts: Multi1Options,
-) -> SimReport {
-    try_simulate_multi1_opt_faulted(spec, prog, init, steps, opts, &FaultPlan::none())
-        .unwrap_or_else(|e| panic!("multi1: {e}"))
 }
 
 struct Engine<'a, P: LinearProgram> {
@@ -342,7 +249,8 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         spec: &MachineSpec,
         prog: &'a P,
         steps: i64,
-        opts: Multi1Options,
+        strip: Option<u64>,
+        core: CoreKind,
         plan: &FaultPlan,
     ) -> Result<Self, SimError> {
         if spec.d != 1 {
@@ -360,7 +268,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 prog_m: m as u64,
             });
         }
-        let s = match opts.strip {
+        let s = match strip {
             Some(s) => {
                 let su = s as usize;
                 if su < 2 || !n.is_multiple_of(su) || !(n / su).is_multiple_of(p) {
@@ -465,7 +373,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             debug_ctx: String::new(),
             session,
             tracer: Tracer::off(),
-            core: opts.core,
+            core,
             plan_key,
             plan_cached,
             plan_found,
@@ -1249,8 +1157,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         let guest_time = linear_guest_time(spec, prog, steps);
         self.tracer.finish_run(
             RunMeta {
-                engine: "multi1",
-                d: 1,
+                engine: bsmp_trace::Engine::Multi1,
                 n: spec.n,
                 m: spec.m,
                 p: spec.p,
@@ -1307,7 +1214,7 @@ mod tests {
     ) -> SimReport {
         let spec = MachineSpec::new(1, n, p, prog.m() as u64);
         let guest = run_linear(&spec, prog, init, steps);
-        let rep = simulate_multi1(&spec, prog, init, steps);
+        let rep = run(&spec, prog, init, steps, RunOpts::default()).unwrap();
         rep.assert_matches(&guest.mem, &guest.values);
         rep
     }
@@ -1360,16 +1267,8 @@ mod tests {
         let spec = MachineSpec::new(1, n, 4, 1);
         let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
         for s in [2u64, 4, 8] {
-            let rep = simulate_multi1_opt(
-                &spec,
-                &Eca::rule110(),
-                &init,
-                n as i64,
-                Multi1Options {
-                    strip: Some(s),
-                    ..Multi1Options::default()
-                },
-            );
+            let opts = RunOpts::default().strip(s);
+            let rep = run(&spec, &Eca::rule110(), &init, n as i64, opts).unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
     }
@@ -1379,11 +1278,11 @@ mod tests {
         let n = 32u64;
         let init = inputs::random_bits(47, n as usize);
         let spec = MachineSpec::new(1, n, 4, 1);
-        let base = simulate_multi1(&spec, &Eca::rule110(), &init, n as i64);
+        let base = run(&spec, &Eca::rule110(), &init, n as i64, RunOpts::default()).unwrap();
         for nu in [1.0, 2.0, 4.0] {
             let plan = FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_multi1_faulted(&spec, &Eca::rule110(), &init, n as i64, &plan)
-                .unwrap();
+            let opts = RunOpts::default().plan(plan);
+            let rep = run(&spec, &Eca::rule110(), &init, n as i64, opts).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");
@@ -1395,20 +1294,16 @@ mod tests {
         let init = inputs::random_bits(48, 32);
         let spec = MachineSpec::new(1, 32, 4, 1);
         assert!(matches!(
-            try_simulate_multi1(&spec, &Eca::rule110(), &init[..30], 8),
+            run(&spec, &Eca::rule110(), &init[..30], 8, RunOpts::default()),
             Err(SimError::InitLength { .. })
         ));
         assert!(matches!(
-            try_simulate_multi1_opt_faulted(
+            run(
                 &spec,
                 &Eca::rule110(),
                 &init,
                 8,
-                Multi1Options {
-                    strip: Some(3),
-                    ..Multi1Options::default()
-                },
-                &FaultPlan::none(),
+                RunOpts::default().strip(3)
             ),
             Err(SimError::InvalidStrip { s: 3, .. })
         ));
@@ -1428,9 +1323,10 @@ mod tests {
             let steps = (n / 4) as i64;
             let spec = MachineSpec::new(1, n, p, 1);
             let guest = run_linear(&spec, &Eca::rule90(), &init, steps);
-            let rep = simulate_multi1(&spec, &Eca::rule90(), &init, steps);
+            let rep = run(&spec, &Eca::rule90(), &init, steps, RunOpts::default()).unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
-            let naive = crate::naive1::simulate_naive1(&spec, &Eca::rule90(), &init, steps);
+            let naive = crate::naive1::run(&spec, &Eca::rule90(), &init, steps, RunOpts::default())
+                .unwrap();
             (rep.locality_slowdown(n, p), naive.locality_slowdown(n, p))
         };
         let (two_a, naive_a) = a_of(128);

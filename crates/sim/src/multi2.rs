@@ -36,52 +36,27 @@ use bsmp_machine::{
     lease_scratch, mesh_guest_time, CoreKind, EventQueue, MachineSpec, MeshProgram, ScratchLease,
     StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::exec2::CellExec;
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`,
-/// injecting faults per `plan`, with preconditions checked.
-pub fn try_simulate_multi2_faulted(
+/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`.
+/// Reads the fault plan, core and tracer of `opts`; reports are
+/// bit-identical across cores (the event core drains honeycomb cells
+/// by projection-center time sum) and with the tracer on or off.
+pub fn run(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    try_simulate_multi2_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_multi2_faulted`] with a [`Tracer`] observing each
-/// honeycomb stage row; the report is bit-identical either way.
-pub fn try_simulate_multi2_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi2_core(spec, prog, init, steps, plan, CoreKind::Dense, tracer)
-}
-
-/// [`try_simulate_multi2_traced`] with an explicit execution core: the
-/// dense cell loop or the discrete-event calendar ([`CoreKind::Event`])
-/// that drains honeycomb cells by projection-center time sum.  Reports
-/// are bit-identical across cores.
-pub fn try_simulate_multi2_core(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    core: CoreKind,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
+    let mut off = Tracer::off();
+    let tracer = opts.tracer.unwrap_or(&mut off);
     let expected = spec.n as usize * prog.m();
     if init.len() != expected {
         return Err(SimError::InitLength {
@@ -89,34 +64,13 @@ pub fn try_simulate_multi2_core(
             got: init.len(),
         });
     }
-    plan.validate()?;
-    let mut eng = Engine2::new(spec, prog, steps, plan, core)?;
+    opts.plan.validate()?;
+    let mut eng = Engine2::new(spec, prog, steps, &opts.plan, opts.core)?;
     eng.tracer = std::mem::take(tracer);
     eng.tracer.ensure_procs(spec.p as usize);
     let rep = eng.run(init).and_then(|()| eng.finish(spec, prog, steps));
     *tracer = std::mem::take(&mut eng.tracer);
     rep
-}
-
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`,
-/// with preconditions checked.
-pub fn try_simulate_multi2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_multi2_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`.
-pub fn simulate_multi2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_multi2(spec, prog, init, steps).unwrap_or_else(|e| panic!("multi2: {e}"))
 }
 
 struct Engine2<'a, P: MeshProgram> {
@@ -641,8 +595,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let guest_time = mesh_guest_time(spec, prog, steps);
         self.tracer.finish_run(
             RunMeta {
-                engine: "multi2",
-                d: 2,
+                engine: Engine::Multi2,
                 n: spec.n,
                 m: spec.m,
                 p: spec.p,
@@ -685,7 +638,7 @@ mod tests {
     ) -> SimReport {
         let spec = MachineSpec::new(2, n, p, prog.m() as u64);
         let guest = run_mesh(&spec, prog, init, steps);
-        let rep = simulate_multi2(&spec, prog, init, steps);
+        let rep = run(&spec, prog, init, steps, RunOpts::default()).unwrap();
         rep.assert_matches(&guest.mem, &guest.values);
         rep
     }
@@ -731,6 +684,7 @@ mod tests {
 
     #[test]
     fn locality_shape_beats_naive_growth() {
+        let life = VonNeumannLife::fredkin();
         // Theorem 1 d = 2 shape: the D&C host's locality slowdown grows
         // far slower than the naive (n/p)^{1/2} law.
         let p = 4u64;
@@ -739,9 +693,8 @@ mod tests {
             let init = inputs::random_bits(55, n as usize);
             let steps = (side / 2) as i64;
             let spec = MachineSpec::new(2, n, p, 1);
-            let rep = simulate_multi2(&spec, &VonNeumannLife::fredkin(), &init, steps);
-            let naive =
-                crate::naive2::simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, steps);
+            let rep = run(&spec, &life, &init, steps, RunOpts::default()).unwrap();
+            let naive = crate::naive2::run(&spec, &life, &init, steps, RunOpts::default()).unwrap();
             (rep.locality_slowdown(n, p), naive.locality_slowdown(n, p))
         };
         let (two_a, naive_a) = a_of(16);
@@ -759,10 +712,10 @@ mod tests {
         let init = inputs::random_bits(56, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         let prog = VonNeumannLife::fredkin();
-        let base = try_simulate_multi2(&spec, &prog, &init, 6).unwrap();
+        let base = run(&spec, &prog, &init, 6, RunOpts::default()).unwrap();
         for nu in [1.0f64, 2.0, 4.0] {
             let plan = bsmp_faults::FaultPlan::uniform_slowdown(nu);
-            let rep = try_simulate_multi2_faulted(&spec, &prog, &init, 6, &plan).unwrap();
+            let rep = run(&spec, &prog, &init, 6, RunOpts::default().plan(plan)).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(
                 base.host_time <= rep.host_time + 1e-9
@@ -783,7 +736,7 @@ mod tests {
         let init = inputs::random_bits(57, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         assert_eq!(
-            try_simulate_multi2(&spec, &prog, &init[..10], 4).err(),
+            run(&spec, &prog, &init[..10], 4, RunOpts::default()).err(),
             Some(SimError::InitLength {
                 expected: 64,
                 got: 10
@@ -792,7 +745,7 @@ mod tests {
         // p = n gives block side 1 — too small for the strip machinery.
         let tight = MachineSpec::new(2, 64, 64, 1);
         assert_eq!(
-            try_simulate_multi2(&tight, &prog, &init, 4).err(),
+            run(&tight, &prog, &init, 4, RunOpts::default()).err(),
             Some(SimError::BlockTooSmall { block: 1 })
         );
     }

@@ -15,51 +15,36 @@ use bsmp_machine::{
     lease_scratch, linear_guest_time, CoreKind, DisjointSlice, ExecPolicy, LinearProgram,
     MachineSpec, PoolLease, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
-/// the naive method, injecting faults per `plan`.
-pub fn try_simulate_naive1_faulted(
+/// the naive method.  Reads the fault plan, thread budget, core and
+/// tracer of `opts`.  The report is bit-identical for every thread
+/// budget (host threading never touches model time, DESIGN.md §12),
+/// for both cores (the event core of [`crate::event1`] falls back to
+/// the dense loop when its preconditions do not hold), and with the
+/// tracer on or off (it only reads the clock).
+pub fn run(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive1_exec(spec, prog, init, steps, plan, ExecPolicy::auto())
-}
-
-/// [`try_simulate_naive1_faulted`] with an explicit host-thread budget.
-/// The report is bit-identical for every policy — host threading never
-/// touches model time (see DESIGN.md §12).
-pub fn try_simulate_naive1_exec(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive1_traced(spec, prog, init, steps, plan, exec, &mut Tracer::off())
-}
-
-/// [`try_simulate_naive1_exec`] with a [`Tracer`] observing each stage.
-/// A disabled tracer costs one `None` check per stage; the report is
-/// bit-identical either way, since the tracer only reads the clock.
-pub fn try_simulate_naive1_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive1_impl(spec, prog, init, steps, plan, exec, tracer, false)
+    let mut off = Tracer::off();
+    let tracer = opts.tracer.unwrap_or(&mut off);
+    match opts.core {
+        CoreKind::Dense => try_simulate_naive1_impl(
+            spec, prog, init, steps, &opts.plan, opts.exec, tracer, false,
+        ),
+        CoreKind::Event => {
+            crate::event1::naive1_event(spec, prog, init, steps, &opts.plan, opts.exec, tracer)
+        }
+    }
 }
 
 /// The pre-tiling per-point reference implementation, kept as the oracle
@@ -77,31 +62,6 @@ pub fn try_simulate_naive1_scalar(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     try_simulate_naive1_impl(spec, prog, init, steps, plan, exec, tracer, true)
-}
-
-/// Select the execution core for a naive1 run: the dense stage loop or
-/// the event-driven sparse core of [`crate::event1`] (bit-identical
-/// report and trace; the event core falls back to the dense loop when
-/// its preconditions do not hold).
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive1_core(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    core: CoreKind,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match core {
-        CoreKind::Dense => {
-            try_simulate_naive1_impl(spec, prog, init, steps, plan, exec, tracer, false)
-        }
-        CoreKind::Event => {
-            crate::event1::try_simulate_naive1_event(spec, prog, init, steps, plan, exec, tracer)
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -541,8 +501,7 @@ pub(crate) fn try_simulate_naive1_impl(
     let guest_time = linear_guest_time(spec, prog, steps);
     tracer.finish_run(
         RunMeta {
-            engine: "naive1",
-            d: 1,
+            engine: Engine::Naive1,
             n: spec.n,
             m: spec.m,
             p: spec.p,
@@ -564,28 +523,6 @@ pub(crate) fn try_simulate_naive1_impl(
     })
 }
 
-/// Fault-free checked variant.
-pub fn try_simulate_naive1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive1_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
-/// the naive method; panics on invalid parameters (see
-/// [`try_simulate_naive1`] for the checked variant).
-pub fn simulate_naive1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_naive1(spec, prog, init, steps).unwrap_or_else(|e| panic!("naive1: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,7 +538,7 @@ mod tests {
     ) -> SimReport {
         let spec = MachineSpec::new(1, n, p, prog.m() as u64);
         let guest = run_linear(&spec, prog, init, steps);
-        let rep = simulate_naive1(&spec, prog, init, steps);
+        let rep = run(&spec, prog, init, steps, RunOpts::default()).unwrap();
         rep.assert_matches(&guest.mem, &guest.values);
         rep
     }
@@ -670,7 +607,7 @@ mod tests {
         let init = inputs::random_bits(9, n as usize);
         for p in [1u64, 4, 16] {
             let spec = MachineSpec::instantaneous(1, n, p, 1);
-            let rep = simulate_naive1(&spec, &Eca::rule90(), &init, n as i64);
+            let rep = run(&spec, &Eca::rule90(), &init, n as i64, RunOpts::default()).unwrap();
             let brent = (n / p) as f64;
             let s = rep.slowdown();
             assert!(
@@ -688,8 +625,8 @@ mod tests {
         let n = 2048u64;
         let init = inputs::random_bits(29, n as usize);
         let spec = MachineSpec::new(1, n, 4, 1);
-        let a = simulate_naive1(&spec, &Eca::rule110(), &init, 8);
-        let b = simulate_naive1(&spec, &Eca::rule110(), &init, 8);
+        let a = run(&spec, &Eca::rule110(), &init, 8, RunOpts::default()).unwrap();
+        let b = run(&spec, &Eca::rule110(), &init, 8, RunOpts::default()).unwrap();
         assert_eq!(a.values, b.values);
         assert!(
             (a.host_time - b.host_time).abs() < 1e-9,
@@ -703,7 +640,7 @@ mod tests {
     fn stage_count_equals_steps() {
         let init = inputs::random_bits(10, 16);
         let spec = MachineSpec::new(1, 16, 4, 1);
-        let rep = simulate_naive1(&spec, &Eca::rule90(), &init, 10);
+        let rep = run(&spec, &Eca::rule90(), &init, 10, RunOpts::default()).unwrap();
         assert_eq!(rep.stages, 10);
     }
 
@@ -712,22 +649,22 @@ mod tests {
         let init = inputs::random_bits(11, 12);
         let spec = MachineSpec::new(1, 12, 4, 1);
         assert!(matches!(
-            try_simulate_naive1(&spec, &Eca::rule90(), &init[..10], 4),
+            run(&spec, &Eca::rule90(), &init[..10], 4, RunOpts::default()),
             Err(SimError::InitLength { .. })
         ));
         let indivisible = MachineSpec::new(1, 10, 3, 1);
         let init10 = inputs::random_bits(12, 10);
         assert!(matches!(
-            try_simulate_naive1(&indivisible, &Eca::rule90(), &init10, 4),
+            run(&indivisible, &Eca::rule90(), &init10, 4, RunOpts::default()),
             Err(SimError::IndivisibleProcessors { .. })
         ));
         assert!(matches!(
-            try_simulate_naive1_faulted(
+            run(
                 &spec,
                 &Eca::rule90(),
                 &inputs::random_bits(13, 12),
                 4,
-                &FaultPlan::uniform_slowdown(0.25),
+                RunOpts::default().plan(FaultPlan::uniform_slowdown(0.25))
             ),
             Err(SimError::Fault(_))
         ));
@@ -737,11 +674,11 @@ mod tests {
     fn uniform_slowdown_stays_within_nu_envelope() {
         let init = inputs::random_bits(14, 64);
         let spec = MachineSpec::new(1, 64, 8, 1);
-        let base = simulate_naive1(&spec, &Eca::rule110(), &init, 32);
+        let base = run(&spec, &Eca::rule110(), &init, 32, RunOpts::default()).unwrap();
         for nu in [1.0, 2.0, 4.0] {
             let plan = FaultPlan::uniform_slowdown(nu);
-            let rep =
-                try_simulate_naive1_faulted(&spec, &Eca::rule110(), &init, 32, &plan).unwrap();
+            let opts = RunOpts::default().plan(plan);
+            let rep = run(&spec, &Eca::rule110(), &init, 32, opts).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");

@@ -10,51 +10,35 @@ use bsmp_machine::{
     lease_scratch, mesh_guest_time, CoreKind, DisjointSlice, ExecPolicy, MachineSpec, MeshProgram,
     PoolLease, StageClock,
 };
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)` by
-/// the naive method, injecting faults per `plan`.
-pub fn try_simulate_naive2_faulted(
+/// the naive method.  Reads the fault plan, thread budget, core and
+/// tracer of `opts`; the report is bit-identical for every thread
+/// budget, for both cores (the event core of [`crate::event2`] falls
+/// back to the dense loop when its preconditions do not hold), and with
+/// the tracer on or off.
+pub fn run(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    try_simulate_naive2_exec(spec, prog, init, steps, plan, ExecPolicy::auto())
-}
-
-/// [`try_simulate_naive2_faulted`] with an explicit host-thread budget.
-/// The report is bit-identical for every policy — host threading never
-/// touches model time (see DESIGN.md §12).
-pub fn try_simulate_naive2_exec(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_traced(spec, prog, init, steps, plan, exec, &mut Tracer::off())
-}
-
-/// [`try_simulate_naive2_exec`] with a [`Tracer`] observing each stage.
-/// A disabled tracer costs one `None` check per stage; the report is
-/// bit-identical either way, since the tracer only reads the clock.
-pub fn try_simulate_naive2_traced(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)
+    let mut off = Tracer::off();
+    let tracer = opts.tracer.unwrap_or(&mut off);
+    match opts.core {
+        CoreKind::Dense => try_simulate_naive2_impl(
+            spec, prog, init, steps, &opts.plan, opts.exec, tracer, false,
+        ),
+        CoreKind::Event => {
+            crate::event2::naive2_event(spec, prog, init, steps, &opts.plan, opts.exec, tracer)
+        }
+    }
 }
 
 /// The pre-tiling per-point reference implementation, kept as the oracle
@@ -72,31 +56,6 @@ pub fn try_simulate_naive2_scalar(
     tracer: &mut Tracer,
 ) -> Result<SimReport, SimError> {
     try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, true)
-}
-
-/// Select the execution core for a naive2 run: the dense stage loop or
-/// the event-driven sparse core of [`crate::event2`] (bit-identical
-/// report and trace; the event core falls back to the dense loop when
-/// its preconditions do not hold).
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_naive2_core(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    exec: ExecPolicy,
-    core: CoreKind,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
-    match core {
-        CoreKind::Dense => {
-            try_simulate_naive2_impl(spec, prog, init, steps, plan, exec, tracer, false)
-        }
-        CoreKind::Event => {
-            crate::event2::try_simulate_naive2_event(spec, prog, init, steps, plan, exec, tracer)
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -472,8 +431,7 @@ pub(crate) fn try_simulate_naive2_impl(
     let guest_time = mesh_guest_time(spec, prog, steps);
     tracer.finish_run(
         RunMeta {
-            engine: "naive2",
-            d: 2,
+            engine: Engine::Naive2,
             n: spec.n,
             m: spec.m,
             p: spec.p,
@@ -495,28 +453,6 @@ pub(crate) fn try_simulate_naive2_impl(
     })
 }
 
-/// Fault-free checked variant.
-pub fn try_simulate_naive2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_naive2_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)` by
-/// the naive method; panics on invalid parameters (see
-/// [`try_simulate_naive2`] for the checked variant).
-pub fn simulate_naive2(
-    spec: &MachineSpec,
-    prog: &impl MeshProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_naive2(spec, prog, init, steps).unwrap_or_else(|e| panic!("naive2: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,7 +468,7 @@ mod tests {
     ) -> SimReport {
         let spec = MachineSpec::new(2, n, p, prog.m() as u64);
         let guest = run_mesh(&spec, prog, init, steps);
-        let rep = simulate_naive2(&spec, prog, init, steps);
+        let rep = run(&spec, prog, init, steps, RunOpts::default()).unwrap();
         rep.assert_matches(&guest.mem, &guest.values);
         rep
     }
@@ -583,14 +519,13 @@ mod tests {
 
     #[test]
     fn uniform_slowdown_stays_within_nu_envelope() {
+        let life = VonNeumannLife::fredkin();
         let init = inputs::random_bits(16, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
-        let base = simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init, 8);
+        let base = run(&spec, &life, &init, 8, RunOpts::default()).unwrap();
         for nu in [1.0, 2.0, 4.0] {
             let plan = FaultPlan::uniform_slowdown(nu);
-            let rep =
-                try_simulate_naive2_faulted(&spec, &VonNeumannLife::fredkin(), &init, 8, &plan)
-                    .unwrap();
+            let rep = run(&spec, &life, &init, 8, RunOpts::default().plan(plan)).unwrap();
             rep.assert_matches(&base.mem, &base.values);
             assert!(rep.host_time >= base.host_time - 1e-9);
             assert!(rep.host_time <= nu * base.host_time + 1e-6, "ν = {nu}");
@@ -599,15 +534,16 @@ mod tests {
 
     #[test]
     fn try_variant_reports_bad_parameters() {
+        let life = VonNeumannLife::fredkin();
         let init = inputs::random_bits(17, 64);
         let spec = MachineSpec::new(2, 64, 4, 1);
         assert!(matches!(
-            try_simulate_naive2(&spec, &VonNeumannLife::fredkin(), &init[..60], 4),
+            run(&spec, &life, &init[..60], 4, RunOpts::default()),
             Err(SimError::InitLength { .. })
         ));
         let linear = MachineSpec::new(1, 64, 4, 1);
         assert!(matches!(
-            try_simulate_naive2(&linear, &VonNeumannLife::fredkin(), &init, 4),
+            run(&linear, &life, &init, 4, RunOpts::default()),
             Err(SimError::DimensionMismatch {
                 expected: 2,
                 got: 1

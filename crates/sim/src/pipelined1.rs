@@ -12,37 +12,28 @@
 //! of `Θ(p·(n/p)^{1/d})` in-flight requests (quantified in
 //! `bsmp_analytic::extensions`).
 
-use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
+use bsmp_faults::{FaultEnv, FaultSession};
 use bsmp_hram::{CostMeter, Word};
 use bsmp_machine::{lease_scratch, linear_guest_time, LinearProgram, MachineSpec, StageClock};
-use bsmp_trace::{RunMeta, Tracer};
+use bsmp_trace::{Engine, RunMeta, Tracer};
 
 use crate::error::SimError;
 use crate::report::SimReport;
-use crate::{settle_scenario, stage_totals};
+use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// Naive simulation of `M_1(n, n, m)` on a pipelined-memory
-/// `M_1(n, p, m)` host, injecting faults per `plan`.
-pub fn try_simulate_pipelined1_faulted(
+/// `M_1(n, p, m)` host.  Reads the fault plan and tracer of `opts`; the
+/// report is bit-identical with the tracer on or off.
+pub fn run(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
     init: &[Word],
     steps: i64,
-    plan: &FaultPlan,
+    opts: RunOpts,
 ) -> Result<SimReport, SimError> {
-    try_simulate_pipelined1_traced(spec, prog, init, steps, plan, &mut Tracer::off())
-}
-
-/// [`try_simulate_pipelined1_faulted`] with a [`Tracer`] observing each
-/// stage; the report is bit-identical either way.
-pub fn try_simulate_pipelined1_traced(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-    plan: &FaultPlan,
-    tracer: &mut Tracer,
-) -> Result<SimReport, SimError> {
+    let mut off = Tracer::off();
+    let tracer = opts.tracer.unwrap_or(&mut off);
+    let plan = &opts.plan;
     let n = spec.n as usize;
     let p = spec.p as usize;
     let m = prog.m();
@@ -149,8 +140,7 @@ pub fn try_simulate_pipelined1_traced(
     let guest_time = linear_guest_time(spec, prog, steps);
     tracer.finish_run(
         RunMeta {
-            engine: "pipelined1",
-            d: 1,
+            engine: Engine::Pipelined1,
             n: spec.n,
             m: spec.m,
             p: spec.p,
@@ -172,27 +162,6 @@ pub fn try_simulate_pipelined1_traced(
     })
 }
 
-/// Fault-free checked variant.
-pub fn try_simulate_pipelined1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> Result<SimReport, SimError> {
-    try_simulate_pipelined1_faulted(spec, prog, init, steps, &FaultPlan::none())
-}
-
-/// Naive simulation of `M_1(n, n, m)` on a pipelined-memory
-/// `M_1(n, p, m)` host.
-pub fn simulate_pipelined1(
-    spec: &MachineSpec,
-    prog: &impl LinearProgram,
-    init: &[Word],
-    steps: i64,
-) -> SimReport {
-    try_simulate_pipelined1(spec, prog, init, steps).unwrap_or_else(|e| panic!("pipelined1: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +175,7 @@ mod tests {
         for p in [1u64, 4, 16] {
             let spec = MachineSpec::new(1, n, p, 1);
             let guest = run_linear(&spec, &Eca::rule110(), &init, n as i64);
-            let rep = simulate_pipelined1(&spec, &Eca::rule110(), &init, n as i64);
+            let rep = run(&spec, &Eca::rule110(), &init, n as i64, RunOpts::default()).unwrap();
             rep.assert_matches(&guest.mem, &guest.values);
         }
     }
@@ -218,7 +187,7 @@ mod tests {
         let init = inputs::random_bits(81, n as usize);
         for p in [2u64, 4, 8, 16] {
             let spec = MachineSpec::new(1, n, p, 1);
-            let rep = simulate_pipelined1(&spec, &Eca::rule110(), &init, 64);
+            let rep = run(&spec, &Eca::rule110(), &init, 64, RunOpts::default()).unwrap();
             let brent = (n / p) as f64;
             let s = rep.slowdown();
             assert!(
@@ -233,8 +202,9 @@ mod tests {
         let (n, p) = (256u64, 4u64);
         let init = inputs::random_bits(82, n as usize);
         let spec = MachineSpec::new(1, n, p, 1);
-        let pip = simulate_pipelined1(&spec, &Eca::rule110(), &init, 64);
-        let nav = crate::naive1::simulate_naive1(&spec, &Eca::rule110(), &init, 64);
+        let pip = run(&spec, &Eca::rule110(), &init, 64, RunOpts::default()).unwrap();
+        let nav =
+            crate::naive1::run(&spec, &Eca::rule110(), &init, 64, RunOpts::default()).unwrap();
         let factor = nav.host_time / pip.host_time;
         // The removed locality slowdown is Θ(n/p) = 64.
         assert!(factor > 8.0, "pipelining wins ×{factor}");

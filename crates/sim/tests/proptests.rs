@@ -7,11 +7,7 @@ use bsmp_faults::rng::Rng64;
 use bsmp_faults::FaultPlan;
 use bsmp_hram::Word;
 use bsmp_machine::{run_linear, run_mesh, LinearProgram, MachineSpec, MeshProgram};
-use bsmp_sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1,
-    multi1::try_simulate_multi1_faulted, naive1::simulate_naive1,
-    naive1::try_simulate_naive1_faulted, naive2::simulate_naive2,
-};
+use bsmp_sim::{dnc1, dnc2, multi1, naive1, naive2, Engine, RunOpts};
 
 const CASES: u64 = 24;
 
@@ -81,11 +77,17 @@ fn any_rule_any_input_all_engines() {
         let prog = AnyRule(rule);
         let spec = MachineSpec::new(1, n, p, 1);
         let guest = run_linear(&spec, &prog, &bits, steps);
-        simulate_naive1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
+        naive1::run(&spec, &prog, &bits, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
         if p == 1 {
-            simulate_dnc1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
+            dnc1::run(&spec, &prog, &bits, steps, RunOpts::default())
+                .unwrap()
+                .assert_matches(&guest.mem, &guest.values);
         } else {
-            simulate_multi1(&spec, &prog, &bits, steps).assert_matches(&guest.mem, &guest.values);
+            multi1::run(&spec, &prog, &bits, steps, RunOpts::default())
+                .unwrap()
+                .assert_matches(&guest.mem, &guest.values);
         }
     }
 }
@@ -99,9 +101,13 @@ fn two_cell_program_random_inputs() {
         let n = 16u64;
         let spec = MachineSpec::new(1, n, 1, 2);
         let guest = run_linear(&spec, &Mix2, &words, steps);
-        simulate_dnc1(&spec, &Mix2, &words, steps).assert_matches(&guest.mem, &guest.values);
+        dnc1::run(&spec, &Mix2, &words, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
         let spec4 = MachineSpec::new(1, n, 4, 2);
-        simulate_multi1(&spec4, &Mix2, &words, steps).assert_matches(&guest.mem, &guest.values);
+        multi1::run(&spec4, &Mix2, &words, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
     }
 }
 
@@ -113,8 +119,12 @@ fn mesh_random_inputs() {
         let steps = rng.range_i64(1, 8);
         let spec = MachineSpec::new(2, 16, 1, 1);
         let guest = run_mesh(&spec, &MeshMix, &words, steps);
-        simulate_naive2(&spec, &MeshMix, &words, steps).assert_matches(&guest.mem, &guest.values);
-        simulate_dnc2(&spec, &MeshMix, &words, steps).assert_matches(&guest.mem, &guest.values);
+        naive2::run(&spec, &MeshMix, &words, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
+        dnc2::run(&spec, &MeshMix, &words, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
     }
 }
 
@@ -128,8 +138,8 @@ fn cost_is_input_independent() {
         let bits_a: Vec<Word> = rng.vec_below(32, 2);
         let bits_b: Vec<Word> = rng.vec_below(32, 2);
         let spec = MachineSpec::new(1, 32, 1, 1);
-        let a = simulate_dnc1(&spec, &AnyRule(110), &bits_a, 16);
-        let b = simulate_dnc1(&spec, &AnyRule(110), &bits_b, 16);
+        let a = dnc1::run(&spec, &AnyRule(110), &bits_a, 16, RunOpts::default()).unwrap();
+        let b = dnc1::run(&spec, &AnyRule(110), &bits_b, 16, RunOpts::default()).unwrap();
         assert!((a.host_time - b.host_time).abs() < 1e-9);
         assert_eq!(a.space, b.space);
     }
@@ -142,8 +152,8 @@ fn determinism() {
         let bits: Vec<Word> = rng.vec_below(24, 2);
         let p = [2u64, 4][rng.below(2) as usize];
         let spec = MachineSpec::new(1, 24, p, 1);
-        let r1 = simulate_multi1(&spec, &AnyRule(90), &bits, 12);
-        let r2 = simulate_multi1(&spec, &AnyRule(90), &bits, 12);
+        let r1 = multi1::run(&spec, &AnyRule(90), &bits, 12, RunOpts::default()).unwrap();
+        let r2 = multi1::run(&spec, &AnyRule(90), &bits, 12, RunOpts::default()).unwrap();
         assert_eq!(r1.values, r2.values);
         assert!((r1.host_time - r2.host_time).abs() < 1e-9);
     }
@@ -165,12 +175,14 @@ fn faulted_runs_are_deterministic() {
             (MachineSpec::new(1, 24, 4, 1), true),
             (MachineSpec::new(1, 24, 2, 1), false),
         ] {
+            let engine = if faulted {
+                Engine::Naive1
+            } else {
+                Engine::Multi1
+            };
             let run = |plan: &FaultPlan| {
-                if faulted {
-                    try_simulate_naive1_faulted(&spec, &AnyRule(30), &bits, 12, plan).unwrap()
-                } else {
-                    try_simulate_multi1_faulted(&spec, &AnyRule(30), &bits, 12, plan).unwrap()
-                }
+                let opts = RunOpts::default().plan(*plan);
+                bsmp_sim::run_linear(engine, &spec, &AnyRule(30), &bits, 12, opts).unwrap()
             };
             let r1 = run(&plan);
             let r2 = run(&plan);
@@ -184,17 +196,16 @@ fn faulted_runs_are_deterministic() {
 
 #[test]
 fn empty_plan_reproduces_unfaulted_costs_bitwise() {
-    // FaultPlan::none() must leave the accounting bit-identical to the
-    // engine run without any fault machinery.
+    // A plan that injects nothing, whatever its seed, must leave the
+    // accounting bit-identical to the plain run.
     let mut rng = Rng64::new(0x0F17);
     for _ in 0..CASES {
         let bits: Vec<Word> = rng.vec_below(32, 2);
         let steps = rng.range_i64(1, 16);
         let spec = MachineSpec::new(1, 32, 4, 1);
-        let plain = simulate_naive1(&spec, &AnyRule(110), &bits, steps);
-        let none =
-            try_simulate_naive1_faulted(&spec, &AnyRule(110), &bits, steps, &FaultPlan::none())
-                .unwrap();
+        let plain = naive1::run(&spec, &AnyRule(110), &bits, steps, RunOpts::default()).unwrap();
+        let empty = RunOpts::default().plan(FaultPlan::none().seed(rng.next_u64()));
+        let none = naive1::run(&spec, &AnyRule(110), &bits, steps, empty).unwrap();
         assert_eq!(plain.values, none.values);
         assert_eq!(plain.host_time.to_bits(), none.host_time.to_bits());
         assert_eq!(plain.guest_time.to_bits(), none.guest_time.to_bits());

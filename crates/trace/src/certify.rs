@@ -43,7 +43,7 @@
 //! instantaneous runs.
 
 use crate::json::{escape, num};
-use crate::RunTrace;
+use crate::{Engine, RunTrace};
 use bsmp_analytic::lower::{brent_floor, check_params, comm_floor, BoundError};
 use bsmp_analytic::{logp2, theorem1, theorem4};
 
@@ -182,48 +182,52 @@ impl From<BoundError> for CertifyError {
     }
 }
 
-/// The engine-specific upper envelope on measured slowdown, from the
-/// theorem each engine implements.  Using the per-engine form (rather
-/// than the regime's Theorem 1 form) matters: a naive engine run in
-/// Range 1 or the strip scheme run in Range 4 legitimately exceeds the
-/// *optimal* scheme's bound while staying inside its own.
-fn upper_slowdown(engine: &str, d: u8, n: f64, m: f64, p: f64) -> Result<f64, CertifyError> {
-    let q = n / p;
-    Ok(match engine {
-        // Naive simulation: q points per guest step, each access priced
-        // up to f((m+2)q) = ((m+2)q)^{1/d} (Proposition 1 generalized
-        // to m > 1 host cells per node).
-        "naive1" | "naive2" | "naive3" => SLACK_NAIVE * q * ((m + 2.0) * q).powf(1.0 / d as f64),
-        // Theorem 3's combined form, plus the block-relocation term
-        // n·m·log n that the implemented recursion (which relocates
-        // whole private memories at every level) actually pays — for
-        // m > n/log n the relocation term exceeds the combined form's
-        // naive ceiling.
-        "dnc1" => {
-            let combined = bsmp_analytic::bounds::try_thm3_locality(n, m)?;
-            SLACK_DNC1 * n * combined.max(m * logp2(n))
-        }
-        // Theorem 1's d = 2 uniprocessor form (Theorem 5 at m = 1).
-        "dnc2" => SLACK_DNC * n * theorem1::try_locality_slowdown(2, n, m, 1.0)?,
-        // The d = 3 analogue of Theorem 2 (Conjecture 1 form); the
-        // volume engine only supports m = 1.
-        "dnc3" => SLACK_DNC * n * logp2(n),
-        // Theorem 4's strip scheme at the optimal strip width.
-        "multi1" => {
-            let s = theorem4::optimal_s(n, m, p);
-            SLACK_MULTI1 * q * theorem4::try_lambda(n, m, p, s)?
-        }
-        // The d = 2 honeycomb scheme: Theorem 1's A(n, m, p) plus a
-        // naive-priced term for the setup/drain stages.
-        "multi2" => {
-            let a = theorem1::try_locality_slowdown(2, n, m, p)?;
-            SLACK_MULTI2 * q * (a + ((m + 2.0) * q).sqrt())
-        }
-        // Section 6 pipelined-memory machine: one batch of q accesses
-        // per guest step, priced f(X) + k ≤ ((m+2)q)^{1/d} + q.
-        "pipelined1" => SLACK_PIPELINED * (q + ((m + 2.0) * q).powf(1.0 / d as f64)),
-        other => return Err(CertifyError::UnknownEngine(other.to_string())),
-    })
+impl Engine {
+    /// The engine-specific upper envelope on measured slowdown, from the
+    /// theorem each engine implements.  Using the per-engine form (rather
+    /// than the regime's Theorem 1 form) matters: a naive engine run in
+    /// Range 1 or the strip scheme run in Range 4 legitimately exceeds
+    /// the *optimal* scheme's bound while staying inside its own.
+    pub fn upper_slowdown(self, n: f64, m: f64, p: f64) -> Result<f64, BoundError> {
+        let q = n / p;
+        let d = self.dim() as f64;
+        Ok(match self {
+            // Naive simulation: q points per guest step, each access
+            // priced up to f((m+2)q) = ((m+2)q)^{1/d} (Proposition 1
+            // generalized to m > 1 host cells per node).
+            Engine::Naive1 | Engine::Naive2 | Engine::Naive3 => {
+                SLACK_NAIVE * q * ((m + 2.0) * q).powf(1.0 / d)
+            }
+            // Theorem 3's combined form, plus the block-relocation term
+            // n·m·log n that the implemented recursion (which relocates
+            // whole private memories at every level) actually pays — for
+            // m > n/log n the relocation term exceeds the combined form's
+            // naive ceiling.
+            Engine::Dnc1 => {
+                let combined = bsmp_analytic::bounds::try_thm3_locality(n, m)?;
+                SLACK_DNC1 * n * combined.max(m * logp2(n))
+            }
+            // Theorem 1's d = 2 uniprocessor form (Theorem 5 at m = 1).
+            Engine::Dnc2 => SLACK_DNC * n * theorem1::try_locality_slowdown(2, n, m, 1.0)?,
+            // The d = 3 analogue of Theorem 2 (Conjecture 1 form); the
+            // volume engine only supports m = 1.
+            Engine::Dnc3 => SLACK_DNC * n * logp2(n),
+            // Theorem 4's strip scheme at the optimal strip width.
+            Engine::Multi1 => {
+                let s = theorem4::optimal_s(n, m, p);
+                SLACK_MULTI1 * q * theorem4::try_lambda(n, m, p, s)?
+            }
+            // The d = 2 honeycomb scheme: Theorem 1's A(n, m, p) plus a
+            // naive-priced term for the setup/drain stages.
+            Engine::Multi2 => {
+                let a = theorem1::try_locality_slowdown(2, n, m, p)?;
+                SLACK_MULTI2 * q * (a + ((m + 2.0) * q).sqrt())
+            }
+            // Section 6 pipelined-memory machine: one batch of q accesses
+            // per guest step, priced f(X) + k ≤ ((m+2)q)^{1/d} + q.
+            Engine::Pipelined1 => SLACK_PIPELINED * (q + ((m + 2.0) * q).powf(1.0 / d)),
+        })
+    }
 }
 
 /// Certify one traced run against the two-sided envelopes.
@@ -287,7 +291,15 @@ pub fn certify(trace: &RunTrace) -> Result<Certificate, CertifyError> {
             num(lower)
         )
     });
-    let upper = upper_slowdown(&trace.engine, d, n, m, p)?;
+    let engine = Engine::from_name(&trace.engine)
+        .ok_or_else(|| CertifyError::UnknownEngine(trace.engine.clone()))?;
+    if engine.dim() != d {
+        return Err(CertifyError::Malformed(format!(
+            "engine {engine} runs at d = {}, the trace records d = {d}",
+            engine.dim()
+        )));
+    }
+    let upper = engine.upper_slowdown(n, m, p)?;
     // Injected fault delay inflates host time; subtract it before the
     // upper check (see module docs for why this never over-corrects).
     let adjusted = (s.host_time - s.injected_delay).max(0.0) / s.guest_time;

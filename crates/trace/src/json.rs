@@ -1,10 +1,13 @@
-//! Minimal hand-rolled JSON support for the `bsmp-trace/v1` log format.
+//! Minimal hand-rolled JSON support: the workspace's one codec, behind
+//! the `bsmp-trace/v1` log format, `bsmp-serve/v1` requests, fault-plan
+//! files and the bench baseline gate.
 //!
 //! The workspace is dependency-free by policy, so both the emitter and the
-//! parser live here.  The parser is a small recursive-descent reader that
-//! covers exactly the JSON subset the emitter produces (objects, arrays,
-//! strings, finite numbers, `null`, booleans); numbers are held as `f64`,
-//! which is lossless for every integer field we emit (all < 2^53).
+//! parser live here.  The parser is a small recursive-descent reader over
+//! objects, arrays, strings, finite numbers, `null` and booleans; numbers
+//! are held as `f64`, which is lossless for every integer field we emit
+//! (all < 2^53).  Every input is untrusted, so nesting is capped at
+//! [`MAX_DEPTH`]: a deeper document is an error, not a stack overflow.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,11 +91,16 @@ pub fn num(x: f64) -> String {
     }
 }
 
+/// Deepest object/array nesting [`parse`] accepts.  Every document the
+/// workspace reads nests at most four levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 pub fn parse(src: &str) -> Result<Val, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -105,6 +113,7 @@ pub fn parse(src: &str) -> Result<Val, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -136,8 +145,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Val, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.bytes[self.pos] == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Val::Str(self.string()?)),
             b't' => self.literal("true", Val::Bool(true)),
             b'f' => self.literal("false", Val::Bool(false)),
@@ -327,5 +350,9 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+        let deep = "[".repeat(10_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 }

@@ -26,7 +26,10 @@
 //! invariants that `bsmp-repro trace-validate` enforces.
 
 pub mod certify;
+pub mod engine;
 pub mod json;
+
+pub use engine::Engine;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -134,8 +137,7 @@ pub struct RunTrace {
 /// Static description of the run, supplied when the trace is closed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunMeta {
-    pub engine: &'static str,
-    pub d: u32,
+    pub engine: Engine,
     pub n: u64,
     pub m: u64,
     pub p: u64,
@@ -364,8 +366,8 @@ impl Tracer {
                 },
             };
             st.run = Some(RunTrace {
-                engine: meta.engine.to_string(),
-                d: meta.d,
+                engine: meta.engine.name().to_string(),
+                d: meta.engine.dim() as u32,
                 n: meta.n,
                 m: meta.m,
                 p: meta.p,
@@ -714,8 +716,7 @@ mod tests {
         );
         t.finish_run(
             RunMeta {
-                engine: "test",
-                d: 1,
+                engine: Engine::Naive1,
                 n: 16,
                 m: 1,
                 p: 2,
@@ -751,8 +752,7 @@ mod tests {
         }
         t.finish_run(
             RunMeta {
-                engine: "test",
-                d: 1,
+                engine: Engine::Naive1,
                 n: 1,
                 m: 1,
                 p: 1,
@@ -786,8 +786,7 @@ mod tests {
         t.end_stage(StageTotals::default(), 4);
         t.finish_run(
             RunMeta {
-                engine: "x",
-                d: 1,
+                engine: Engine::Naive1,
                 n: 1,
                 m: 1,
                 p: 1,

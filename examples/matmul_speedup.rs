@@ -14,7 +14,7 @@
 
 use bsmp::analytic::matmul;
 use bsmp::machine::{run_mesh, MachineSpec};
-use bsmp::sim::{dnc2::simulate_dnc2, naive2::simulate_naive2};
+use bsmp::sim::{dnc2, naive2, RunOpts};
 use bsmp::workloads::{inputs, SystolicMatmul};
 
 fn main() {
@@ -46,8 +46,8 @@ fn main() {
     let spec = MachineSpec::new(2, n, 1, m);
 
     let guest = run_mesh(&spec, &prog, &init, prog.steps());
-    let naive = simulate_naive2(&spec, &prog, &init, prog.steps());
-    let dnc = simulate_dnc2(&spec, &prog, &init, prog.steps());
+    let naive = naive2::run(&spec, &prog, &init, prog.steps(), RunOpts::default()).unwrap();
+    let dnc = dnc2::run(&spec, &prog, &init, prog.steps(), RunOpts::default()).unwrap();
     naive.assert_matches(&guest.mem, &guest.values);
     dnc.assert_matches(&guest.mem, &guest.values);
 

@@ -9,7 +9,7 @@
 
 use bsmp::geometry::{render, Diamond, IRect};
 use bsmp::machine::{run_linear, MachineSpec};
-use bsmp::sim::dnc1::simulate_dnc1;
+use bsmp::sim::{dnc1, RunOpts};
 use bsmp::workloads::{inputs, Eca};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     );
 
     let guest = run_linear(&spec, &Eca::rule110(), &init, steps);
-    let host = simulate_dnc1(&spec, &Eca::rule110(), &init, steps);
+    let host = dnc1::run(&spec, &Eca::rule110(), &init, steps, RunOpts::default()).unwrap();
     host.assert_matches(&guest.mem, &guest.values);
 
     println!("rule 110, n = {n}, T = {steps}:");

@@ -6,7 +6,7 @@
 //! *orderings*, which is what Θ-bounds assert.
 
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1::simulate_dnc1, naive1::simulate_naive1};
+use bsmp::sim::{dnc1, naive1, RunOpts};
 use bsmp::workloads::{inputs, CyclicWave, Eca};
 use bsmp::{analytic, Simulation, Strategy};
 
@@ -17,7 +17,9 @@ fn theorem2_growth_rate() {
     let slow = |n: u64| {
         let init = inputs::random_bits(20, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        simulate_dnc1(&spec, &Eca::rule90(), &init, n as i64).slowdown()
+        dnc1::run(&spec, &Eca::rule90(), &init, n as i64, RunOpts::default())
+            .unwrap()
+            .slowdown()
     };
     let (s64, s128, s256) = (slow(64), slow(128), slow(256));
     let g1 = s128 / s64;
@@ -33,7 +35,9 @@ fn proposition1_growth_rate() {
     let slow = |n: u64| {
         let init = inputs::random_bits(21, n as usize);
         let spec = MachineSpec::new(1, n, 1, 1);
-        simulate_naive1(&spec, &Eca::rule90(), &init, 32).slowdown()
+        naive1::run(&spec, &Eca::rule90(), &init, 32, RunOpts::default())
+            .unwrap()
+            .slowdown()
     };
     let ratio = slow(256) / slow(64);
     assert!(
@@ -51,7 +55,10 @@ fn theorem3_locality_term_saturates() {
     let slow = |m: usize| {
         let init = inputs::random_words(22, n as usize * m, 50);
         let spec = MachineSpec::new(1, n, 1, m as u64);
-        simulate_dnc1(&spec, &CyclicWave::new(m), &init, n as i64).slowdown()
+        let opts = RunOpts::default();
+        dnc1::run(&spec, &CyclicWave::new(m), &init, n as i64, opts)
+            .unwrap()
+            .slowdown()
     };
     let s1 = slow(1);
     let s4 = slow(4);
@@ -137,7 +144,10 @@ fn space_stays_within_proposition3() {
     let spec_of = |n: u64| MachineSpec::new(1, n, 1, 1);
     let space = |n: u64| {
         let init = inputs::random_bits(26, n as usize);
-        simulate_dnc1(&spec_of(n), &Eca::rule90(), &init, n as i64).space as f64
+        let opts = RunOpts::default();
+        dnc1::run(&spec_of(n), &Eca::rule90(), &init, n as i64, opts)
+            .unwrap()
+            .space as f64
     };
     let s128 = space(128);
     let s512 = space(512);
@@ -158,7 +168,7 @@ fn space_stays_within_proposition3() {
 
 use bsmp::certify_suite::{matrix, run_case};
 use bsmp::trace::certify::{certify, CertifyError, Verdict};
-use bsmp::FaultPlan;
+use bsmp::{Engine, FaultPlan};
 
 #[test]
 fn matrix_certifies_clean_and_under_faults() {
@@ -186,7 +196,7 @@ fn matrix_certifies_clean_and_under_faults() {
                 case.regime,
                 cert.margin
             );
-            assert_eq!(cert.engine, case.engine);
+            assert_eq!(cert.engine, case.engine.name());
             assert_eq!(cert.regime, case.regime);
         }
     }
@@ -199,7 +209,7 @@ fn fault_plans_do_not_change_upper_side_margins() {
     // side exactly where the clean run put it.
     let case = matrix()
         .into_iter()
-        .find(|c| c.engine == "multi1" && c.regime == "R1")
+        .find(|c| c.engine == Engine::Multi1 && c.regime == "R1")
         .unwrap();
     let (_, clean) = run_case(&case, &FaultPlan::none()).unwrap();
     let (_, faulted) = run_case(&case, &FaultPlan::uniform_slowdown(2.5).seed(3)).unwrap();
@@ -233,7 +243,7 @@ fn inflated_comm_ledger_is_violated() {
     // every unit of comm delay must be charged to some processor clock.
     let case = matrix()
         .into_iter()
-        .find(|c| c.engine == "naive1" && c.regime == "R1")
+        .find(|c| c.engine == Engine::Naive1 && c.regime == "R1")
         .unwrap();
     let (mut trace, _) = run_case(&case, &FaultPlan::none()).unwrap();
     for s in &mut trace.stages {
@@ -258,7 +268,7 @@ fn zeroed_comm_ledger_is_violated() {
     // distance-weighted cut floor.
     let case = matrix()
         .into_iter()
-        .find(|c| c.engine == "naive1" && c.regime == "R1")
+        .find(|c| c.engine == Engine::Naive1 && c.regime == "R1")
         .unwrap();
     let (mut trace, _) = run_case(&case, &FaultPlan::none()).unwrap();
     for s in &mut trace.stages {

@@ -8,22 +8,46 @@
 //!   computed values;
 //! * bit-reproducibility: the same seed + plan yields `f64::to_bits`-
 //!   identical reports on every rerun and every thread count;
-//! * neutrality: `FaultPlan::none` through the faulted entry points is
-//!   bit-identical to the plain entry points.
+//! * neutrality: a plan that injects nothing is bit-identical to the
+//!   plain run.
 //!
 //! The quick matrix runs under plain `cargo test`; set `BSMP_SOAK=1`
 //! for the extended multi-seed soak.
 
 use bsmp::faults::Region;
 use bsmp::machine::MachineSpec;
-use bsmp::sim::{dnc1, dnc2, dnc3, multi1, multi2, naive1, naive2, pipelined1};
+use bsmp::sim::{run_linear, run_mesh, run_volume, Engine, RunOpts};
 use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
 use bsmp::{set_default_threads, ExecPolicy, FaultPlan, SimError, SimReport};
 
-/// One engine of the matrix: a short, multi-stage configuration.
+/// One engine's report from the matrix.
 struct Outcome {
-    engine: &'static str,
+    engine: Engine,
     report: SimReport,
+}
+
+/// Run `engine` on the matrix's short, multi-stage configuration for
+/// its dimension: 64 nodes (p = 8 on the line, 4 on the mesh, 1 for the
+/// uniprocessor engines) or the 3 × 3 × 3 cube.
+fn run_engine(engine: Engine, opts: RunOpts) -> Result<SimReport, SimError> {
+    let p = |multi| if engine.uniprocessor_only() { 1 } else { multi };
+    match engine.dim() {
+        1 => {
+            let steps = if engine == Engine::Dnc1 { 16 } else { 32 };
+            let spec = MachineSpec::new(1, 64, p(8), 1);
+            let init = inputs::random_bits(0xC0DE, 64);
+            run_linear(engine, &spec, &Eca::rule110(), &init, steps, opts)
+        }
+        2 => {
+            let spec = MachineSpec::new(2, 64, p(4), 1);
+            let init = inputs::random_bits(0xC0DE + 1, 64);
+            run_mesh(engine, &spec, &VonNeumannLife::fredkin(), &init, 8, opts)
+        }
+        _ => {
+            let init = inputs::random_bits(0xC0DE + 2, 27);
+            run_volume(engine, 3, &Parity3d, &init, 3, opts)
+        }
+    }
 }
 
 /// Run the full 9-engine suite under `plan` (with `exec` for the
@@ -31,64 +55,14 @@ struct Outcome {
 /// Panics only on a *typed-error* result — the harness itself asserts
 /// the error-free property of the matrix plans.
 fn run_all_engines(plan: &FaultPlan, exec: ExecPolicy) -> Vec<Outcome> {
-    let mut out = Vec::new();
-    let mut push = |engine: &'static str, rep: Result<SimReport, SimError>| {
-        let report = rep.unwrap_or_else(|e| panic!("{engine}: scenario must not error: {e}"));
-        out.push(Outcome { engine, report });
-    };
-
-    // d = 1: naive1, multi1, pipelined1 (p = 8), dnc1 (p = 1).
-    let prog1 = Eca::rule110();
-    let init1 = inputs::random_bits(0xC0DE, 64);
-    let spec1 = MachineSpec::new(1, 64, 8, 1);
-    push(
-        "naive1",
-        naive1::try_simulate_naive1_exec(&spec1, &prog1, &init1, 32, plan, exec),
-    );
-    push(
-        "multi1",
-        multi1::try_simulate_multi1_faulted(&spec1, &prog1, &init1, 32, plan),
-    );
-    push(
-        "pipelined1",
-        pipelined1::try_simulate_pipelined1_faulted(&spec1, &prog1, &init1, 32, plan),
-    );
-    let uni1 = MachineSpec::new(1, 64, 1, 1);
-    push(
-        "dnc1",
-        dnc1::try_simulate_dnc1_faulted(&uni1, &prog1, &init1, 16, plan),
-    );
-
-    // d = 2: naive2, multi2 (p = 4), dnc2 (p = 1).
-    let prog2 = VonNeumannLife::fredkin();
-    let init2 = inputs::random_bits(0xC0DE + 1, 64);
-    let spec2 = MachineSpec::new(2, 64, 4, 1);
-    push(
-        "naive2",
-        naive2::try_simulate_naive2_exec(&spec2, &prog2, &init2, 8, plan, exec),
-    );
-    push(
-        "multi2",
-        multi2::try_simulate_multi2_faulted(&spec2, &prog2, &init2, 8, plan),
-    );
-    let uni2 = MachineSpec::new(2, 64, 1, 1);
-    push(
-        "dnc2",
-        dnc2::try_simulate_dnc2_faulted(&uni2, &prog2, &init2, 8, plan),
-    );
-
-    // d = 3: dnc3, naive3 (uniprocessor engines, side³ = 27 nodes).
-    let prog3 = Parity3d;
-    let init3 = inputs::random_bits(0xC0DE + 2, 27);
-    push(
-        "dnc3",
-        dnc3::try_simulate_dnc3_faulted(3, &prog3, &init3, 3, plan),
-    );
-    push(
-        "naive3",
-        dnc3::try_simulate_naive3_faulted(3, &prog3, &init3, 3, plan),
-    );
-    out
+    Engine::ALL
+        .into_iter()
+        .map(|engine| {
+            let report = run_engine(engine, RunOpts::default().plan(*plan).exec(exec))
+                .unwrap_or_else(|e| panic!("{engine}: scenario must not error: {e}"));
+            Outcome { engine, report }
+        })
+        .collect()
 }
 
 /// The seeded scenario matrix: one plan per adversarial family plus
@@ -222,70 +196,19 @@ fn chaos_reports_identical_across_thread_counts() {
     set_default_threads(0);
 }
 
-/// `FaultPlan::none` through every faulted entry point is bit-identical
-/// to the plain entry point: the scenario layer must cost nothing when
-/// it injects nothing.
+/// A plan that injects nothing is bit-identical to the plain run: the
+/// scenario layer must cost nothing when it injects nothing, whatever
+/// the plan's seed.
 #[test]
 fn none_plan_is_bitwise_neutral_on_all_engines() {
-    let prog1 = Eca::rule110();
-    let init1 = inputs::random_bits(0xC0DE, 64);
-    let spec1 = MachineSpec::new(1, 64, 8, 1);
-    let uni1 = MachineSpec::new(1, 64, 1, 1);
-    let prog2 = VonNeumannLife::fredkin();
-    let init2 = inputs::random_bits(0xC0DE + 1, 64);
-    let spec2 = MachineSpec::new(2, 64, 4, 1);
-    let uni2 = MachineSpec::new(2, 64, 1, 1);
-    let prog3 = Parity3d;
-    let init3 = inputs::random_bits(0xC0DE + 2, 27);
-    let none = FaultPlan::none();
-
-    let pairs: Vec<(&str, SimReport, SimReport)> = vec![
+    let empty = FaultPlan::none().seed(0x5EED);
+    let pairs = Engine::ALL.map(|engine| {
         (
-            "naive1",
-            naive1::try_simulate_naive1(&spec1, &prog1, &init1, 32).unwrap(),
-            naive1::try_simulate_naive1_faulted(&spec1, &prog1, &init1, 32, &none).unwrap(),
-        ),
-        (
-            "multi1",
-            multi1::try_simulate_multi1(&spec1, &prog1, &init1, 32).unwrap(),
-            multi1::try_simulate_multi1_faulted(&spec1, &prog1, &init1, 32, &none).unwrap(),
-        ),
-        (
-            "pipelined1",
-            pipelined1::try_simulate_pipelined1(&spec1, &prog1, &init1, 32).unwrap(),
-            pipelined1::try_simulate_pipelined1_faulted(&spec1, &prog1, &init1, 32, &none).unwrap(),
-        ),
-        (
-            "dnc1",
-            dnc1::try_simulate_dnc1(&uni1, &prog1, &init1, 16).unwrap(),
-            dnc1::try_simulate_dnc1_faulted(&uni1, &prog1, &init1, 16, &none).unwrap(),
-        ),
-        (
-            "naive2",
-            naive2::try_simulate_naive2(&spec2, &prog2, &init2, 8).unwrap(),
-            naive2::try_simulate_naive2_faulted(&spec2, &prog2, &init2, 8, &none).unwrap(),
-        ),
-        (
-            "multi2",
-            multi2::try_simulate_multi2(&spec2, &prog2, &init2, 8).unwrap(),
-            multi2::try_simulate_multi2_faulted(&spec2, &prog2, &init2, 8, &none).unwrap(),
-        ),
-        (
-            "dnc2",
-            dnc2::try_simulate_dnc2(&uni2, &prog2, &init2, 8).unwrap(),
-            dnc2::try_simulate_dnc2_faulted(&uni2, &prog2, &init2, 8, &none).unwrap(),
-        ),
-        (
-            "dnc3",
-            dnc3::try_simulate_dnc3(3, &prog3, &init3, 3).unwrap(),
-            dnc3::try_simulate_dnc3_faulted(3, &prog3, &init3, 3, &none).unwrap(),
-        ),
-        (
-            "naive3",
-            dnc3::try_simulate_naive3(3, &prog3, &init3, 3).unwrap(),
-            dnc3::try_simulate_naive3_faulted(3, &prog3, &init3, 3, &none).unwrap(),
-        ),
-    ];
+            engine,
+            run_engine(engine, RunOpts::default()).unwrap(),
+            run_engine(engine, RunOpts::default().plan(empty)).unwrap(),
+        )
+    });
     for (engine, plain, none) in pairs {
         assert_eq!(
             plain.host_time.to_bits(),
@@ -313,21 +236,15 @@ fn churn_exhaustion_degrades_to_typed_error() {
     let prog = Eca::rule110();
     let init = inputs::random_bits(0xDEAD, 64);
     let spec = MachineSpec::new(1, 64, 8, 1);
-    for (engine, res) in [
-        (
-            "naive1",
-            naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 32, &plan),
-        ),
-        (
-            "multi1",
-            multi1::try_simulate_multi1_faulted(&spec, &prog, &init, 32, &plan),
-        ),
-        (
-            "pipelined1",
-            pipelined1::try_simulate_pipelined1_faulted(&spec, &prog, &init, 32, &plan),
-        ),
-    ] {
-        match res {
+    for engine in [Engine::Naive1, Engine::Multi1, Engine::Pipelined1] {
+        match run_linear(
+            engine,
+            &spec,
+            &prog,
+            &init,
+            32,
+            RunOpts::default().plan(plan),
+        ) {
             Err(SimError::ScenarioExhausted { stats, .. }) => {
                 assert!(
                     stats.departures > 0,

@@ -3,10 +3,7 @@
 //! shapes, densities and processor counts.
 
 use bsmp::machine::{run_linear, run_mesh, MachineSpec};
-use bsmp::sim::{
-    dnc1::simulate_dnc1, dnc2::simulate_dnc2, multi1::simulate_multi1, multi2::simulate_multi2,
-    naive1::simulate_naive1, naive2::simulate_naive2,
-};
+use bsmp::sim::{self, naive1, Engine, RunOpts};
 use bsmp::workloads::{
     inputs, CyclicWave, Eca, FirPipeline, OddEvenSort, SystolicMatmul, VonNeumannLife,
 };
@@ -17,17 +14,22 @@ fn check1(prog: &impl LinearProgram, n: u64, steps: i64, seed: u64) {
     let init = inputs::random_words(seed, (n * m) as usize, 64);
     let uni = MachineSpec::new(1, n, 1, m);
     let guest = run_linear(&uni, prog, &init, steps);
+    let agree = |engine, spec: &MachineSpec| {
+        sim::run_linear(engine, spec, prog, &init, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values)
+    };
 
-    simulate_naive1(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
-    simulate_dnc1(&uni, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
+    agree(Engine::Naive1, &uni);
+    agree(Engine::Dnc1, &uni);
     for p in [2u64, 4] {
         if !n.is_multiple_of(p) {
             continue;
         }
         let spec = MachineSpec::new(1, n, p, m);
-        simulate_naive1(&spec, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
-        if bsmp::sim::multi1::engine_strip(n, m, p).is_some() {
-            simulate_multi1(&spec, prog, &init, steps).assert_matches(&guest.mem, &guest.values);
+        agree(Engine::Naive1, &spec);
+        if sim::multi1::engine_strip(n, m, p).is_some() {
+            agree(Engine::Multi1, &spec);
         }
     }
 }
@@ -41,15 +43,17 @@ fn check2(prog: &impl MeshProgram, n: u64, steps: i64, seed: u64) {
 fn check2_init(prog: &impl MeshProgram, n: u64, steps: i64, init: &[u64]) {
     let m = prog.m() as u64;
     let uni = MachineSpec::new(2, n, 1, m);
+    let spec = MachineSpec::new(2, n, 4, m);
     let guest = run_mesh(&uni, prog, init, steps);
-
-    simulate_naive2(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
-    simulate_dnc2(&uni, prog, init, steps).assert_matches(&guest.mem, &guest.values);
-    {
-        let p = 4u64;
-        let spec = MachineSpec::new(2, n, p, m);
-        simulate_naive2(&spec, prog, init, steps).assert_matches(&guest.mem, &guest.values);
-        simulate_multi2(&spec, prog, init, steps).assert_matches(&guest.mem, &guest.values);
+    for (engine, spec) in [
+        (Engine::Naive2, &uni),
+        (Engine::Dnc2, &uni),
+        (Engine::Naive2, &spec),
+        (Engine::Multi2, &spec),
+    ] {
+        sim::run_mesh(engine, spec, prog, init, steps, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
     }
 }
 
@@ -89,10 +93,16 @@ fn all_engines_agree_on_fir_pipeline() {
     let init = prog.coefficients(n as usize);
     let uni = MachineSpec::new(1, n, 1, 3);
     let guest = run_linear(&uni, &prog, &init, 24);
-    simulate_naive1(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
-    simulate_dnc1(&uni, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
     let spec4 = MachineSpec::new(1, n, 4, 3);
-    simulate_multi1(&spec4, &prog, &init, 24).assert_matches(&guest.mem, &guest.values);
+    for (engine, spec) in [
+        (Engine::Naive1, &uni),
+        (Engine::Dnc1, &uni),
+        (Engine::Multi1, &spec4),
+    ] {
+        sim::run_linear(engine, spec, &prog, &init, 24, RunOpts::default())
+            .unwrap()
+            .assert_matches(&guest.mem, &guest.values);
+    }
     // Outputs agree with the workload's own oracle too.
     let oracle = prog.oracle(n as usize, 24);
     for (val, exp) in guest.values.iter().zip(&oracle) {
@@ -123,8 +133,8 @@ fn cost_model_never_changes_answers() {
     let init = inputs::random_bits(12, 32);
     let b = MachineSpec::new(1, 32, 4, 1);
     let i = MachineSpec::instantaneous(1, 32, 4, 1);
-    let rb = simulate_naive1(&b, &Eca::rule110(), &init, 32);
-    let ri = simulate_naive1(&i, &Eca::rule110(), &init, 32);
+    let rb = naive1::run(&b, &Eca::rule110(), &init, 32, RunOpts::default()).unwrap();
+    let ri = naive1::run(&i, &Eca::rule110(), &init, 32, RunOpts::default()).unwrap();
     assert_eq!(rb.values, ri.values);
     assert_eq!(rb.mem, ri.mem);
     assert!(ri.host_time < rb.host_time);

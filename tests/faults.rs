@@ -7,7 +7,7 @@
 //! inflates the stage by at most ν).
 
 use bsmp::machine::{run_linear, run_mesh, MachineSpec};
-use bsmp::sim::{multi1, multi2, naive1, naive2, pipelined1};
+use bsmp::sim::{self, multi2, naive1, Engine, RunOpts};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp::{FaultPlan, SimReport, Simulation, Strategy};
 
@@ -47,22 +47,21 @@ fn uniform_slowdown_envelope_linear_engines() {
     let spec = MachineSpec::new(1, n, 8, 1);
     let guest = run_linear(&spec, &prog, &init, 32);
 
-    let naive_base = naive1::try_simulate_naive1(&spec, &prog, &init, 32).unwrap();
-    let multi_base = multi1::try_simulate_multi1(&spec, &prog, &init, 32).unwrap();
-    let pipe_base = pipelined1::try_simulate_pipelined1(&spec, &prog, &init, 32).unwrap();
-    naive_base.assert_matches(&guest.mem, &guest.values);
-    multi_base.assert_matches(&guest.mem, &guest.values);
-    pipe_base.assert_matches(&guest.mem, &guest.values);
-
-    for nu in NUS {
-        let plan = FaultPlan::uniform_slowdown(nu);
-        let naive = naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 32, &plan).unwrap();
-        check_envelope(&naive_base, &naive, nu, "naive1");
-        let multi = multi1::try_simulate_multi1_faulted(&spec, &prog, &init, 32, &plan).unwrap();
-        check_envelope(&multi_base, &multi, nu, "multi1");
-        let pipe =
-            pipelined1::try_simulate_pipelined1_faulted(&spec, &prog, &init, 32, &plan).unwrap();
-        check_envelope(&pipe_base, &pipe, nu, "pipelined1");
+    for engine in [Engine::Naive1, Engine::Multi1, Engine::Pipelined1] {
+        let run = |plan| {
+            let opts = RunOpts::default().plan(plan);
+            sim::run_linear(engine, &spec, &prog, &init, 32, opts).unwrap()
+        };
+        let base = run(FaultPlan::none());
+        base.assert_matches(&guest.mem, &guest.values);
+        for nu in NUS {
+            check_envelope(
+                &base,
+                &run(FaultPlan::uniform_slowdown(nu)),
+                nu,
+                engine.name(),
+            );
+        }
     }
 }
 
@@ -73,17 +72,21 @@ fn uniform_slowdown_envelope_mesh_engines() {
     let spec = MachineSpec::new(2, 64, 4, 1);
     let guest = run_mesh(&spec, &prog, &init, 8);
 
-    let naive_base = naive2::try_simulate_naive2(&spec, &prog, &init, 8).unwrap();
-    let multi_base = multi2::try_simulate_multi2(&spec, &prog, &init, 8).unwrap();
-    naive_base.assert_matches(&guest.mem, &guest.values);
-    multi_base.assert_matches(&guest.mem, &guest.values);
-
-    for nu in NUS {
-        let plan = FaultPlan::uniform_slowdown(nu);
-        let naive = naive2::try_simulate_naive2_faulted(&spec, &prog, &init, 8, &plan).unwrap();
-        check_envelope(&naive_base, &naive, nu, "naive2");
-        let multi = multi2::try_simulate_multi2_faulted(&spec, &prog, &init, 8, &plan).unwrap();
-        check_envelope(&multi_base, &multi, nu, "multi2");
+    for engine in [Engine::Naive2, Engine::Multi2] {
+        let run = |plan| {
+            let opts = RunOpts::default().plan(plan);
+            sim::run_mesh(engine, &spec, &prog, &init, 8, opts).unwrap()
+        };
+        let base = run(FaultPlan::none());
+        base.assert_matches(&guest.mem, &guest.values);
+        for nu in NUS {
+            check_envelope(
+                &base,
+                &run(FaultPlan::uniform_slowdown(nu)),
+                nu,
+                engine.name(),
+            );
+        }
     }
 }
 
@@ -102,7 +105,7 @@ fn lossy_and_crashy_runs_stay_functionally_equivalent() {
         .jitter(1.0, 3.0)
         .loss(200, 4)
         .random_crashes(30);
-    let rep = naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 48, &plan).unwrap();
+    let rep = naive1::run(&spec, &prog, &init, 48, RunOpts::default().plan(plan)).unwrap();
     rep.assert_matches(&guest.mem, &guest.values);
     assert!(
         rep.faults.retries > 0,
@@ -115,7 +118,7 @@ fn lossy_and_crashy_runs_stay_functionally_equivalent() {
     assert!(rep.faults.injected_delay > 0.0);
 
     // And identically so on re-run (stateless hash-derived draws).
-    let again = naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 48, &plan).unwrap();
+    let again = naive1::run(&spec, &prog, &init, 48, RunOpts::default().plan(plan)).unwrap();
     assert_eq!(rep.host_time.to_bits(), again.host_time.to_bits());
     assert_eq!(rep.faults, again.faults);
 }
@@ -126,9 +129,9 @@ fn crash_at_specific_stage_charges_recovery_once() {
     let init = inputs::random_bits(93, n as usize);
     let prog = Eca::rule110();
     let spec = MachineSpec::new(1, n, 4, 1);
-    let base = naive1::try_simulate_naive1(&spec, &prog, &init, 16).unwrap();
+    let base = naive1::run(&spec, &prog, &init, 16, RunOpts::default()).unwrap();
     let plan = FaultPlan::none().crash_at(5, 2);
-    let rep = naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 16, &plan).unwrap();
+    let rep = naive1::run(&spec, &prog, &init, 16, RunOpts::default().plan(plan)).unwrap();
     rep.assert_matches(&base.mem, &base.values);
     assert_eq!(rep.faults.crashes, 1);
     assert_eq!(rep.faults.recovered_stages, 1);
@@ -161,17 +164,16 @@ fn empty_plan_is_bitwise_neutral_across_engines() {
     let init1 = inputs::random_bits(95, 64);
     let spec1 = MachineSpec::new(1, 64, 4, 1);
     let prog1 = Eca::rule110();
-    let plain = naive1::try_simulate_naive1(&spec1, &prog1, &init1, 32).unwrap();
-    let none = naive1::try_simulate_naive1_faulted(&spec1, &prog1, &init1, 32, &FaultPlan::none())
-        .unwrap();
+    let empty = || RunOpts::default().plan(FaultPlan::none().seed(0x5EED));
+    let plain = naive1::run(&spec1, &prog1, &init1, 32, RunOpts::default()).unwrap();
+    let none = naive1::run(&spec1, &prog1, &init1, 32, empty()).unwrap();
     assert_eq!(plain.host_time.to_bits(), none.host_time.to_bits());
 
     let init2 = inputs::random_bits(96, 64);
     let spec2 = MachineSpec::new(2, 64, 4, 1);
     let prog2 = VonNeumannLife::fredkin();
-    let plain2 = multi2::try_simulate_multi2(&spec2, &prog2, &init2, 6).unwrap();
-    let none2 =
-        multi2::try_simulate_multi2_faulted(&spec2, &prog2, &init2, 6, &FaultPlan::none()).unwrap();
+    let plain2 = multi2::run(&spec2, &prog2, &init2, 6, RunOpts::default()).unwrap();
+    let none2 = multi2::run(&spec2, &prog2, &init2, 6, empty()).unwrap();
     assert_eq!(plain2.host_time.to_bits(), none2.host_time.to_bits());
     assert_eq!(plain2.stages, none2.stages);
 }
@@ -188,7 +190,7 @@ fn invalid_plans_are_rejected_not_panicked() {
         FaultPlan::none().loss(1_001, 1),
         FaultPlan::none().random_crashes(2_000),
     ] {
-        let err = naive1::try_simulate_naive1_faulted(&spec, &prog, &init, 8, &bad);
+        let err = naive1::run(&spec, &prog, &init, 8, RunOpts::default().plan(bad));
         assert!(
             matches!(err, Err(bsmp::SimError::Fault(_))),
             "plan {bad:?} must be rejected"

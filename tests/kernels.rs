@@ -4,7 +4,7 @@
 //! fault plans, tracing, and any host-thread count.
 
 use bsmp::machine::{ExecPolicy, MachineSpec};
-use bsmp::sim::{dnc3, naive1, naive2};
+use bsmp::sim::{naive1, naive2, naive3, RunOpts};
 use bsmp::trace::Tracer;
 use bsmp::workloads::{inputs, CyclicWave, Eca, Parity3d, VonNeumannLife};
 use bsmp::{FaultPlan, SimReport};
@@ -63,16 +63,8 @@ fn naive1_tiled_matches_scalar_bitwise() {
             let exec = ExecPolicy::threads(threads);
             for plan in [FaultPlan::none(), storm_plan()] {
                 let what = format!("naive1 m={m} n={n} p={p} threads={threads}");
-                let tiled = naive1::try_simulate_naive1_traced(
-                    &spec,
-                    &prog,
-                    &init,
-                    steps,
-                    &plan,
-                    exec,
-                    &mut Tracer::off(),
-                )
-                .unwrap();
+                let opts = RunOpts::default().plan(plan).exec(exec);
+                let tiled = naive1::run(&spec, &prog, &init, steps, opts).unwrap();
                 let scalar = naive1::try_simulate_naive1_scalar(
                     &spec,
                     &prog,
@@ -102,7 +94,7 @@ fn naive1_exact_mode_engages_for_dyadic_density() {
     let (n, p, steps) = (256usize, 4u64, 32i64);
     let spec = MachineSpec::new(1, n as u64, p, 1);
     let init = inputs::random_bits(3, n);
-    let rep = naive1::try_simulate_naive1(&spec, &Eca::rule110(), &init, steps).unwrap();
+    let rep = naive1::run(&spec, &Eca::rule110(), &init, steps, RunOpts::default()).unwrap();
     assert_eq!(
         rep.meter.table_hits, rep.meter.ops,
         "all accesses table-served"
@@ -121,16 +113,8 @@ fn naive2_tiled_matches_scalar_bitwise() {
             let exec = ExecPolicy::threads(threads);
             for plan in [FaultPlan::none(), storm_plan()] {
                 let what = format!("naive2 side={side} p={p} threads={threads}");
-                let tiled = naive2::try_simulate_naive2_traced(
-                    &spec,
-                    &prog,
-                    &init,
-                    steps,
-                    &plan,
-                    exec,
-                    &mut Tracer::off(),
-                )
-                .unwrap();
+                let opts = RunOpts::default().plan(plan).exec(exec);
+                let tiled = naive2::run(&spec, &prog, &init, steps, opts).unwrap();
                 let scalar = naive2::try_simulate_naive2_scalar(
                     &spec,
                     &prog,
@@ -154,9 +138,10 @@ fn naive3_tiled_matches_scalar_bitwise() {
         let n = (side * side * side) as usize;
         let init = inputs::random_bits(13, n);
         let steps = side;
-        let tiled = dnc3::try_simulate_naive3(side as usize, &Parity3d, &init, steps).unwrap();
+        let tiled =
+            naive3::run(side as usize, &Parity3d, &init, steps, RunOpts::default()).unwrap();
         let scalar =
-            dnc3::try_simulate_naive3_scalar(side as usize, &Parity3d, &init, steps).unwrap();
+            naive3::try_simulate_naive3_scalar(side as usize, &Parity3d, &init, steps).unwrap();
         assert_bit_identical(&tiled, &scalar, &format!("naive3 side={side}"));
         assert_eq!(scalar.meter.table_hits, 0, "naive3 scalar used tables");
         assert!(tiled.meter.table_hits > 0, "naive3 tiled path not taken");

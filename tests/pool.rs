@@ -6,7 +6,7 @@
 //! processor order regardless of claim order.
 
 use bsmp::machine::{ExecPolicy, MachineSpec, StagePool};
-use bsmp::sim::{naive1, naive2};
+use bsmp::sim::{naive1, naive2, RunOpts};
 use bsmp::workloads::{inputs, Eca, VonNeumannLife};
 use bsmp::{FaultPlan, LinearProgram, SimError, SimReport, Word};
 
@@ -46,84 +46,61 @@ fn assert_bit_identical(a: &SimReport, b: &SimReport, tag: &str) {
     assert_eq!(a.faults, b.faults, "{tag}: faults");
 }
 
+/// The naive1 test shape: rule 110 on `N1` nodes over `P1` processors.
+fn naive1_run(seed: u64, steps: i64, plan: FaultPlan, exec: ExecPolicy) -> SimReport {
+    let spec = MachineSpec::new(1, N1, P1, 1);
+    let init = inputs::random_bits(seed, N1 as usize);
+    let opts = RunOpts::default().plan(plan).exec(exec);
+    naive1::run(&spec, &Eca::rule110(), &init, steps, opts).unwrap()
+}
+
+/// The naive2 test shape: Fredkin life on the `N2` mesh over `P2` processors.
+fn naive2_run(seed: u64, steps: i64, plan: FaultPlan, exec: ExecPolicy) -> SimReport {
+    let life = VonNeumannLife::fredkin();
+    let spec = MachineSpec::new(2, N2, P2, 1);
+    let init = inputs::random_bits(seed, N2 as usize);
+    let opts = RunOpts::default().plan(plan).exec(exec);
+    naive2::run(&spec, &life, &init, steps, opts).unwrap()
+}
+
 #[test]
 fn naive1_pooled_is_bit_identical_to_serial() {
-    let spec = MachineSpec::new(1, N1, P1, 1);
-    let init = inputs::random_bits(90, N1 as usize);
-    let prog = Eca::rule110();
     let plan = FaultPlan::none();
-    let serial =
-        naive1::try_simulate_naive1_exec(&spec, &prog, &init, 64, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive1_run(90, 64, plan, ExecPolicy::serial());
     for threads in [2usize, 4, 8] {
-        let pooled = naive1::try_simulate_naive1_exec(
-            &spec,
-            &prog,
-            &init,
-            64,
-            &plan,
-            ExecPolicy::threads(threads),
-        )
-        .unwrap();
+        let pooled = naive1_run(90, 64, plan, ExecPolicy::threads(threads));
         assert_bit_identical(&serial, &pooled, &format!("naive1 t={threads}"));
     }
 }
 
 #[test]
 fn naive1_pooled_is_bit_identical_under_faults() {
-    let spec = MachineSpec::new(1, N1, P1, 1);
-    let init = inputs::random_bits(91, N1 as usize);
-    let prog = Eca::rule110();
     let plan = FaultPlan::uniform_slowdown(1.5)
         .seed(91)
         .loss(50, 3)
         .random_crashes(10);
-    let serial =
-        naive1::try_simulate_naive1_exec(&spec, &prog, &init, 48, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive1_run(91, 48, plan, ExecPolicy::serial());
     assert!(serial.faults.injected_delay > 0.0, "plan must be active");
-    let pooled =
-        naive1::try_simulate_naive1_exec(&spec, &prog, &init, 48, &plan, ExecPolicy::threads(4))
-            .unwrap();
+    let pooled = naive1_run(91, 48, plan, ExecPolicy::threads(4));
     assert_bit_identical(&serial, &pooled, "naive1 faulted");
 }
 
 #[test]
 fn naive2_pooled_is_bit_identical_to_serial() {
-    let spec = MachineSpec::new(2, N2, P2, 1);
-    let init = inputs::random_bits(92, N2 as usize);
-    let prog = VonNeumannLife::fredkin();
     let plan = FaultPlan::none();
-    let serial =
-        naive2::try_simulate_naive2_exec(&spec, &prog, &init, 12, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive2_run(92, 12, plan, ExecPolicy::serial());
     for threads in [2usize, 4] {
-        let pooled = naive2::try_simulate_naive2_exec(
-            &spec,
-            &prog,
-            &init,
-            12,
-            &plan,
-            ExecPolicy::threads(threads),
-        )
-        .unwrap();
+        let pooled = naive2_run(92, 12, plan, ExecPolicy::threads(threads));
         assert_bit_identical(&serial, &pooled, &format!("naive2 t={threads}"));
     }
 }
 
 #[test]
 fn naive2_pooled_is_bit_identical_under_faults() {
-    let spec = MachineSpec::new(2, N2, P2, 1);
-    let init = inputs::random_bits(93, N2 as usize);
-    let prog = VonNeumannLife::fredkin();
     let plan = FaultPlan::uniform_slowdown(2.0).seed(93).loss(40, 2);
-    let serial =
-        naive2::try_simulate_naive2_exec(&spec, &prog, &init, 12, &plan, ExecPolicy::serial())
-            .unwrap();
+    let serial = naive2_run(93, 12, plan, ExecPolicy::serial());
     assert!(serial.faults.injected_delay > 0.0, "plan must be active");
-    let pooled =
-        naive2::try_simulate_naive2_exec(&spec, &prog, &init, 12, &plan, ExecPolicy::threads(4))
-            .unwrap();
+    let pooled = naive2_run(93, 12, plan, ExecPolicy::threads(4));
     assert_bit_identical(&serial, &pooled, "naive2 faulted");
 }
 
@@ -152,9 +129,7 @@ fn worker_panic_surfaces_as_sim_error_not_hang() {
     let init = inputs::random_bits(94, N1 as usize);
     let prog = PanicAt { v: 700, t: 3 };
     for exec in [ExecPolicy::serial(), ExecPolicy::threads(4)] {
-        let err =
-            naive1::try_simulate_naive1_exec(&spec, &prog, &init, 8, &FaultPlan::none(), exec)
-                .unwrap_err();
+        let err = naive1::run(&spec, &prog, &init, 8, RunOpts::default().exec(exec)).unwrap_err();
         match err {
             SimError::HostPanic { ref message } => {
                 assert!(message.contains("injected guest panic"), "{message}");

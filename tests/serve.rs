@@ -275,6 +275,13 @@ fn parser_fuzz_seeded_corruption_never_panics() {
             Err(other) => panic!("non-BadRequest parse error: {other}"),
         }
     }
+    // Nesting far past the parser's depth cap is a typed rejection,
+    // not a stack overflow that would take the whole batch down.
+    let deep = format!("{}{base}", "[".repeat(10_000));
+    match parse_job(&deep) {
+        Err(SimError::BadRequest { what, .. }) => assert!(what.contains("nesting"), "{what}"),
+        other => panic!("deeply nested line: expected BadRequest, got {other:?}"),
+    }
     assert!(rejected > 0, "corruption never produced a rejection?");
     // Some corruptions (e.g. flips inside a number) still parse — that
     // is fine; the count is informational.
@@ -287,6 +294,7 @@ fn serve_survives_interleaved_garbage() {
         r#"{"id": 1, "engine": "dnc1", "n": 32, "m": 2, "steps": 32}"#,
         "garbage that is not json",
         r#"{"id": 3, "engine": "nope9", "n": 32, "steps": 32}"#,
+        &"[".repeat(10_000),
         r#"{"id": 4, "engine": "dnc1", "n": 32, "m": 2, "steps": 32, "seed": 9}"#,
     ]
     .join("\n");
@@ -297,9 +305,9 @@ fn serve_survives_interleaved_garbage() {
         ServeOptions { max_inflight: 2 },
     )
     .expect("serve i/o");
-    assert_eq!((summary.jobs, summary.ok, summary.errors), (4, 2, 2));
+    assert_eq!((summary.jobs, summary.ok, summary.errors), (5, 2, 3));
     let text = String::from_utf8(out).unwrap();
-    assert_eq!(text.matches("\"kind\": \"bad_request\"").count(), 2);
+    assert_eq!(text.matches("\"kind\": \"bad_request\"").count(), 3);
     // The unknown-engine line kept its id through the typed error.
     assert!(text.contains("\"id\": 3, \"ok\": false"), "{text}");
 }

@@ -8,10 +8,10 @@
 //!    regime tag), and the summary's Brent × locality split multiplies
 //!    back to the measured slowdown.
 
-use bsmp::sim::{dnc3, pipelined1};
+use bsmp::sim::{self, Engine, RunOpts};
 use bsmp::trace::{RunTrace, Tracer};
 use bsmp::workloads::{inputs, Eca, Parity3d, VonNeumannLife};
-use bsmp::{validate_trace, FaultPlan, MachineSpec, SimReport, Simulation, Strategy};
+use bsmp::{stamp_regime, validate_trace, FaultPlan, MachineSpec, SimReport, Simulation, Strategy};
 
 fn assert_reports_identical(a: &SimReport, b: &SimReport) {
     assert_eq!(a.host_time.to_bits(), b.host_time.to_bits());
@@ -120,43 +120,24 @@ fn facade_engines_produce_valid_traces() {
 }
 
 /// Engines not reachable through the façade: trace them directly and
-/// stamp the regime the way the façade would.
+/// stamp the regime the way the façade does.
 #[test]
 fn direct_engines_produce_valid_traces() {
-    let stamp = |mut tr: RunTrace| {
-        tr.summary.regime = format!(
-            "{:?}",
-            bsmp::analytic::theorem1::range(tr.d as u8, tr.n as f64, tr.m as f64, tr.p as f64)
-        );
-        tr
-    };
-
     let init = inputs::random_bits(94, 64);
+    let vinit = inputs::random_bits(95, 64);
     let spec = MachineSpec::new(1, 64, 4, 1);
-    let mut tracer = Tracer::recording();
-    let rep = pipelined1::try_simulate_pipelined1_traced(
-        &spec,
-        &Eca::rule110(),
-        &init,
-        32,
-        &FaultPlan::none(),
-        &mut tracer,
-    )
-    .unwrap();
-    let tr = stamp(tracer.take().unwrap());
-    check_trace(&tr, "pipelined1", &rep);
-
-    let side = 4usize;
-    let vinit = inputs::random_bits(95, side * side * side);
-    let mut tracer = Tracer::recording();
-    let rep = dnc3::try_simulate_dnc3_traced(side, &Parity3d, &vinit, 4, &mut tracer).unwrap();
-    let tr = stamp(tracer.take().unwrap());
-    check_trace(&tr, "dnc3", &rep);
-
-    let mut tracer = Tracer::recording();
-    let rep = dnc3::try_simulate_naive3_traced(side, &Parity3d, &vinit, 4, &mut tracer).unwrap();
-    let tr = stamp(tracer.take().unwrap());
-    check_trace(&tr, "naive3", &rep);
+    for engine in [Engine::Pipelined1, Engine::Dnc3, Engine::Naive3] {
+        let mut tracer = Tracer::recording();
+        let opts = RunOpts::default().tracer(&mut tracer);
+        let rep = match engine.dim() {
+            1 => sim::run_linear(engine, &spec, &Eca::rule110(), &init, 32, opts),
+            _ => sim::run_volume(engine, 4, &Parity3d, &vinit, 4, opts),
+        }
+        .unwrap();
+        let mut tr = tracer.take().unwrap();
+        stamp_regime(&mut tr);
+        check_trace(&tr, engine.name(), &rep);
+    }
 }
 
 #[test]
