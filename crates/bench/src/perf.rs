@@ -954,6 +954,7 @@ mod tests {
         assert!(hit("multi1_n128_p4_T128") > 0);
         assert!(hit("dnc2_16x16_T16") > 0);
         assert!(hit("multi2_32x32_p4_T32") > 0);
+        assert!(hit("dnc3_12c_T12") > 0);
         let doc = to_json(&cases, 1, "test");
         assert_eq!(validate_json(&doc), Ok(cases.len()));
         // A fresh suite always passes its own gate.

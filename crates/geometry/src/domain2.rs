@@ -366,27 +366,6 @@ impl ClippedDomain2 {
             .filter(|c| !c.is_empty())
             .collect()
     }
-
-    /// Translation-invariant memo key (see
-    /// [`crate::diamond::ClippedDiamond::shape_key`]).
-    #[allow(clippy::type_complexity)]
-    pub fn shape_key(&self) -> (i64, i64, (i64, i64, i64, i64, i64, i64)) {
-        let b = self.cell.bbox();
-        let c = b.intersect(&self.clip);
-        let (ox, oy, ot) = (self.cell.dx.cx, self.cell.dy.cx, self.cell.dx.ct);
-        (
-            self.cell.h(),
-            self.cell.dy.ct - self.cell.dx.ct,
-            (
-                c.x0 - ox,
-                c.x1 - ox,
-                c.y0 - oy,
-                c.y1 - oy,
-                c.t0 - ot,
-                c.t1 - ot,
-            ),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! A fast, deterministic hasher for the executor hot paths.
 //!
-//! The separator executors (`exec1`–`exec3`, `multi1`/`multi2`) key
+//! The separator executors (`exec1`, `cellexec`, `multi1`/`multi2`) key
 //! their liveness and placement maps by small lattice points and
 //! integer ids.  `std`'s default SipHash is DoS-resistant but costs a
 //! full keyed permutation per lookup; these maps never see untrusted

@@ -85,6 +85,7 @@ pub(crate) fn harvest_plan<P: LinearProgram>(
 /// uniprocessor view of DESIGN.md §14);
 /// [`FaultPlan::none`](bsmp_faults::FaultPlan::none) takes the plain
 /// path bit-identically.
+/// A negative `steps` is a zero-step run.
 pub fn run(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
@@ -92,13 +93,14 @@ pub fn run(
     steps: i64,
     opts: RunOpts,
 ) -> Result<SimReport, SimError> {
+    let steps = steps.max(0);
     let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
     let meta = RunMeta {
         engine: Engine::Dnc1,
         n: spec.n,
         m: spec.m,
         p: 1,
-        steps: steps.max(0) as u64,
+        steps: steps as u64,
     };
     crate::uniprocessor_run(
         opts,

@@ -1,5 +1,5 @@
 //! **Theorem 5** — divide-and-conquer uniprocessor simulation of the
-//! mesh, built on the [`crate::exec2`] executor: for `T_n ≥ √n`,
+//! mesh, built on the [`crate::cellexec`] executor: for `T_n ≥ √n`,
 //! a `T_n`-step computation of `M_2(n, n, 1)` runs on `M_2(n, 1, 1)`
 //! with slowdown `O(n log n)`; the `m > 1` generalization mirrors
 //! Theorem 3 with *executable cells* of radius `~m/2`.
@@ -8,8 +8,8 @@ use bsmp_hram::Word;
 use bsmp_machine::{mesh_guest_time, MachineSpec, MeshProgram};
 use bsmp_trace::{Engine, RunMeta, Tracer};
 
+use crate::cellexec::{CellExec, MeshCells};
 use crate::error::SimError;
-use crate::exec2::CellExec;
 use crate::report::SimReport;
 use crate::RunOpts;
 
@@ -23,6 +23,7 @@ use crate::RunOpts;
 /// uniprocessor view of DESIGN.md §14);
 /// [`FaultPlan::none`](bsmp_faults::FaultPlan::none) takes the plain
 /// path bit-identically.
+/// A negative `steps` is a zero-step run.
 pub fn run(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
@@ -30,13 +31,14 @@ pub fn run(
     steps: i64,
     opts: RunOpts,
 ) -> Result<SimReport, SimError> {
+    let steps = steps.max(0);
     let leaf_h = opts.leaf.unwrap_or((prog.m() as i64 / 2).max(1));
     let meta = RunMeta {
         engine: Engine::Dnc2,
         n: spec.n,
         m: spec.m,
         p: 1,
-        steps: steps.max(0) as u64,
+        steps: steps as u64,
     };
     crate::uniprocessor_run(
         opts,
@@ -84,7 +86,13 @@ fn run_clean(
     }
     tracer.ensure_procs(1);
     tracer.begin_stage("run");
-    let mut exec = CellExec::new(spec, prog, steps, leaf_h);
+    let mut exec = CellExec::new(
+        MeshCells(prog),
+        spec.mesh_side() as i64,
+        spec.access_fn(),
+        steps,
+        leaf_h,
+    );
     let (mem, values) = exec.run(init)?;
     let guest_time = mesh_guest_time(spec, prog, steps);
     Ok(crate::bulk_report(

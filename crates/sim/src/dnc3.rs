@@ -1,16 +1,16 @@
 //! **Section 6's conjecture, measured**: divide-and-conquer uniprocessor
 //! simulation of the 3-D mesh `M_3(n, n, 1)` on `M_3(n, 1, 1)`, built on
-//! the 4-D separator executor [`crate::exec3`].  The conjectured
+//! the 4-D separator cells of [`crate::cellexec`].  The conjectured
 //! slowdown — `O(n log n)`, the d = 3 analogue of Theorems 2/5 — is
 //! verified in the tests and experiment E11c, against the naive
 //! `O(n^{4/3})` (Proposition 1 with d = 3).
 
-use bsmp_hram::Word;
+use bsmp_hram::{AccessFn, Word};
 use bsmp_machine::{volume_guest_time, VolumeProgram};
 use bsmp_trace::{Engine, RunMeta, Tracer};
 
+use crate::cellexec::{CellExec, VolumeCells};
 use crate::error::SimError;
-use crate::exec3::VolumeExec;
 use crate::report::SimReport;
 use crate::RunOpts;
 
@@ -20,6 +20,7 @@ use crate::RunOpts;
 /// the run treated as one bulk stage (the uniprocessor view of
 /// DESIGN.md §14), and [`FaultPlan::none`](bsmp_faults::FaultPlan::none)
 /// takes the plain path bit-identically.
+/// A negative `steps` is a zero-step run.
 pub fn run(
     side: usize,
     prog: &impl VolumeProgram,
@@ -27,13 +28,14 @@ pub fn run(
     steps: i64,
     opts: RunOpts,
 ) -> Result<SimReport, SimError> {
+    let steps = steps.max(0);
     let n = side * side * side;
     let meta = RunMeta {
         engine: Engine::Dnc3,
         n: n as u64,
         m: 1,
         p: 1,
-        steps: steps.max(0) as u64,
+        steps: steps as u64,
     };
     crate::uniprocessor_run(opts, meta, side as f64, n as u64, |tracer, meta| {
         run_clean(side, prog, init, steps, tracer, meta)
@@ -64,7 +66,13 @@ fn run_clean(
     }
     tracer.ensure_procs(1);
     tracer.begin_stage("run");
-    let mut exec = VolumeExec::new(side as i64, prog, steps, 1);
+    let mut exec = CellExec::new(
+        VolumeCells(prog),
+        side as i64,
+        AccessFn::new(3, 1),
+        steps,
+        1,
+    );
     let (mem, values) = exec.run(init)?;
     let guest_time = volume_guest_time(side, 1, prog, steps);
     Ok(crate::bulk_report(

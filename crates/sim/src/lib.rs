@@ -27,13 +27,12 @@
 //!
 //! Supporting modules:
 //!
-//! | module      | role                                                        |
-//! |-------------|-------------------------------------------------------------|
-//! | [`exec1`]   | Proposition 2 executor over diamond separators (dnc1/multi1) |
-//! | [`exec2`]   | Proposition 2 executor over octa/tetra cells (dnc2/multi2)  |
-//! | [`exec3`]   | 4-D separator executor over the volume (dnc3)               |
-//! | [`event1`]  | event-driven sparse core behind `naive1` (`CoreKind::Event`) |
-//! | [`event2`]  | event-driven sparse core behind `naive2` (`CoreKind::Event`) |
+//! | module       | role                                                          |
+//! |--------------|---------------------------------------------------------------|
+//! | [`exec1`]    | Proposition 2 executor over diamond separators (dnc1/multi1)  |
+//! | [`cellexec`] | Proposition 2 executor over honeycomb cells, `d = 2` and `3` (dnc2/multi2/dnc3) |
+//! | [`event1`]   | event-driven sparse core behind `naive1` (`CoreKind::Event`)  |
+//! | [`event2`]   | event-driven sparse core behind `naive2` (`CoreKind::Event`)  |
 //!
 //! [`run_linear`], [`run_mesh`] and [`run_volume`] dispatch on [`Engine`]
 //! for the `d = 1`, `2` and `3` program families; every knob beyond
@@ -43,6 +42,7 @@
 //! naive engines run on a [`bsmp_machine::MachineSpec::instantaneous`]
 //! host.
 
+pub mod cellexec;
 pub mod dnc1;
 pub mod dnc2;
 pub mod dnc3;
@@ -50,8 +50,6 @@ pub mod error;
 pub mod event1;
 pub mod event2;
 pub mod exec1;
-pub mod exec2;
-pub mod exec3;
 pub mod multi1;
 pub mod multi2;
 pub mod naive1;
@@ -82,7 +80,8 @@ pub struct RunOpts<'t> {
     pub plan: FaultPlan,
     /// Host-thread budget of the stage-parallel naive engines.
     pub exec: ExecPolicy,
-    /// Execution core of naive1/naive2/multi1/multi2.
+    /// Execution core of naive1/naive2 (the other engines have only the
+    /// dense loop).
     pub core: CoreKind,
     /// Leaf radius of dnc1/dnc2; `None` picks the paper's `D(m)`
     /// executable diamonds/cells (radius `max(m/2, 1)`).

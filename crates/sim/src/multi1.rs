@@ -49,8 +49,8 @@ use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
 use bsmp_geometry::{diamond_cover, ClippedDiamond, IRect, Pt2};
 use bsmp_hram::Word;
 use bsmp_machine::{
-    lease_scratch, linear_guest_time, plan_cache, CoreKind, EventQueue, LinearProgram, MachineSpec,
-    PlanKey, ScratchLease, StageClock,
+    lease_scratch, linear_guest_time, plan_cache, LinearProgram, MachineSpec, PlanKey,
+    ScratchLease, StageClock,
 };
 use bsmp_trace::{RunMeta, Tracer};
 
@@ -161,12 +161,11 @@ pub fn engine_strip(n: u64, m: u64, p: u64) -> Option<u64> {
 }
 
 /// Simulate `steps` guest steps of `M_1(n, n, m)` on `M_1(n, p, m)` by
-/// the two-regime scheme.  Reads the fault plan, strip width, core and
-/// tracer of `opts`; the strip width defaults to [`engine_strip`], an
-/// explicit one serves the strip-width sweeps of experiment E9.
-/// Reports are bit-identical across cores (the tile cover is emitted in
-/// non-decreasing center-time order, which the event calendar replays
-/// verbatim) and with the tracer on or off.
+/// the two-regime scheme.  Reads the fault plan, strip width and tracer
+/// of `opts`; the strip width defaults to [`engine_strip`], an explicit
+/// one serves the strip-width sweeps of experiment E9.  Reports are
+/// bit-identical with the tracer on or off.
+/// A negative `steps` is a zero-step run.
 pub fn run(
     spec: &MachineSpec,
     prog: &impl LinearProgram,
@@ -174,6 +173,7 @@ pub fn run(
     steps: i64,
     opts: RunOpts,
 ) -> Result<SimReport, SimError> {
+    let steps = steps.max(0);
     let mut off = Tracer::off();
     let tracer = opts.tracer.unwrap_or(&mut off);
     let expected = spec.n as usize * prog.m();
@@ -184,7 +184,7 @@ pub fn run(
         });
     }
     opts.plan.validate()?;
-    let mut eng = Engine::new(spec, prog, steps, opts.strip, opts.core, &opts.plan)?;
+    let mut eng = Engine::new(spec, prog, steps, opts.strip, &opts.plan)?;
     eng.tracer = std::mem::take(tracer);
     eng.tracer.ensure_procs(spec.p as usize);
     let outcome = eng.run(init);
@@ -234,7 +234,6 @@ struct Engine<'a, P: LinearProgram> {
     debug_ctx: String,
     session: FaultSession,
     tracer: Tracer,
-    core: CoreKind,
     /// Shared-plan bookkeeping: the cache key of the per-tile
     /// decomposition plan, the cached plan all `p` executors adopted,
     /// and the probe's discoveries (harvested with the executors' in
@@ -250,7 +249,6 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         prog: &'a P,
         steps: i64,
         strip: Option<u64>,
-        core: CoreKind,
         plan: &FaultPlan,
     ) -> Result<Self, SimError> {
         if spec.d != 1 {
@@ -373,7 +371,6 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
             debug_ctx: String::new(),
             session,
             tracer: Tracer::off(),
-            core,
             plan_key,
             plan_cached,
             plan_found,
@@ -1030,27 +1027,8 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
         }
         let hp = ((self.p * self.s) / 2) as i64;
         let tiles = diamond_cover(self.cbox, hp, Pt2::new(0, 0));
-        match self.core {
-            CoreKind::Dense => {
-                for tile in tiles {
-                    self.run_tile(&tile)?;
-                }
-            }
-            CoreKind::Event => {
-                // Calendar drain keyed by tile center time.  The cover is
-                // sorted by (ct, cx) and buckets pop FIFO, so the drained
-                // sequence is exactly the dense iteration order — the
-                // meters stay bit-identical.
-                let mut cal = EventQueue::new();
-                for tile in tiles {
-                    cal.schedule(tile.d.ct, tile);
-                }
-                while let Some((_ct, batch)) = cal.pop_stage() {
-                    for tile in &batch {
-                        self.run_tile(tile)?;
-                    }
-                }
-            }
+        for tile in tiles {
+            self.run_tile(&tile)?;
         }
         // For m = 1 the node state *is* the value: write the final row
         // back into the strip homes (charged — the host must leave the
@@ -1161,7 +1139,7 @@ impl<'a, P: LinearProgram> Engine<'a, P> {
                 n: spec.n,
                 m: spec.m,
                 p: spec.p,
-                steps: steps.max(0) as u64,
+                steps: steps as u64,
             },
             self.clock.parallel_time,
             guest_time,

@@ -33,21 +33,20 @@ use bsmp_faults::{FaultEnv, FaultPlan, FaultSession};
 use bsmp_geometry::{cell_cover, ClippedDomain2, IBox, Pt3};
 use bsmp_hram::Word;
 use bsmp_machine::{
-    lease_scratch, mesh_guest_time, CoreKind, EventQueue, MachineSpec, MeshProgram, ScratchLease,
-    StageClock,
+    lease_scratch, mesh_guest_time, MachineSpec, MeshProgram, ScratchLease, StageClock,
 };
 use bsmp_trace::{Engine, RunMeta, Tracer};
 
+use crate::cellexec::{CellExec, MeshCells};
 use crate::error::SimError;
-use crate::exec2::CellExec;
 use crate::report::SimReport;
 use crate::zone::ZoneAlloc;
 use crate::{settle_scenario, stage_totals, RunOpts};
 
 /// Simulate `steps` guest steps of `M_2(n, n, m)` on `M_2(n, p, m)`.
-/// Reads the fault plan, core and tracer of `opts`; reports are
-/// bit-identical across cores (the event core drains honeycomb cells
-/// by projection-center time sum) and with the tracer on or off.
+/// Reads the fault plan and tracer of `opts`; reports are bit-identical
+/// with the tracer on or off.
+/// A negative `steps` is a zero-step run.
 pub fn run(
     spec: &MachineSpec,
     prog: &impl MeshProgram,
@@ -55,6 +54,7 @@ pub fn run(
     steps: i64,
     opts: RunOpts,
 ) -> Result<SimReport, SimError> {
+    let steps = steps.max(0);
     let mut off = Tracer::off();
     let tracer = opts.tracer.unwrap_or(&mut off);
     let expected = spec.n as usize * prog.m();
@@ -65,7 +65,7 @@ pub fn run(
         });
     }
     opts.plan.validate()?;
-    let mut eng = Engine2::new(spec, prog, steps, &opts.plan, opts.core)?;
+    let mut eng = Engine2::new(spec, prog, steps, &opts.plan)?;
     eng.tracer = std::mem::take(tracer);
     eng.tracer.ensure_procs(spec.p as usize);
     let rep = eng.run(init).and_then(|()| eng.finish(spec, prog, steps));
@@ -81,7 +81,7 @@ struct Engine2<'a, P: MeshProgram> {
     t_steps: i64,
     hop: f64,
     cbox: IBox,
-    execs: Vec<CellExec<'a, P>>,
+    execs: Vec<CellExec<MeshCells<'a, P>>>,
     prog: &'a P,
     vals: FxHashMap<Pt3, Word>,
     /// value → (proc, addr) in that proc's value-home zone.
@@ -95,7 +95,6 @@ struct Engine2<'a, P: MeshProgram> {
     tracer: Tracer,
     tile_space: usize,
     state_base: usize,
-    core: CoreKind,
 }
 
 impl<'a, P: MeshProgram> Engine2<'a, P> {
@@ -104,7 +103,6 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         prog: &'a P,
         steps: i64,
         plan: &FaultPlan,
-        core: CoreKind,
     ) -> Result<Self, SimError> {
         if spec.d != 2 {
             return Err(SimError::DimensionMismatch {
@@ -135,7 +133,16 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
 
         let pseudo = MachineSpec::new(2, spec.n, 1, spec.m);
         let leaf = (m as i64 / 2).max(1);
-        let mut probe = CellExec::new(&pseudo, prog, steps, leaf);
+        let exec = || {
+            CellExec::new(
+                MeshCells(prog),
+                side as i64,
+                pseudo.access_fn(),
+                steps,
+                leaf,
+            )
+        };
+        let mut probe = exec();
         let interior = ClippedDomain2::new(
             bsmp_geometry::Domain2::octahedron(
                 (side / 2) as i64,
@@ -153,9 +160,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let state_base = home_base + home_cap;
         let _ = transit_base;
 
-        let execs = (0..sp * sp)
-            .map(|_| CellExec::new(&pseudo, prog, steps, leaf))
-            .collect();
+        let execs = (0..sp * sp).map(|_| exec()).collect();
         let home_zones = (0..sp * sp)
             .map(|_| ZoneAlloc::new(home_base, home_cap))
             .collect();
@@ -193,7 +198,6 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
             tracer: Tracer::off(),
             tile_space,
             state_base,
-            core,
         })
     }
 
@@ -480,43 +484,16 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
         let cells = cell_cover(self.cbox, hb, Pt3::new(0, 0, 0));
         // Stage rows: group by the projection-center time sum.
         self.begin_stage("cells");
-        match self.core {
-            CoreKind::Dense => {
-                let mut last_key = i64::MIN;
-                for cell in cells {
-                    let key = cell.cell.dx.ct + cell.cell.dy.ct;
-                    if key != last_key && last_key != i64::MIN {
-                        self.close_stage()?;
-                        self.begin_stage("cells");
-                        self.gc(key / 2 - 2 * hb)?;
-                    }
-                    last_key = key;
-                    self.run_cell(&cell)?;
-                }
+        let mut last_key = i64::MIN;
+        for cell in cells {
+            let key = cell.cell.dx.ct + cell.cell.dy.ct;
+            if key != last_key && last_key != i64::MIN {
+                self.close_stage()?;
+                self.begin_stage("cells");
+                self.gc(key / 2 - 2 * hb)?;
             }
-            CoreKind::Event => {
-                // Calendar drain keyed by the projection-center time sum.
-                // The cover is sorted by (key, dx.cx, dy.cx) and buckets
-                // pop FIFO, so each popped bucket is exactly one dense
-                // stage row in the dense order — meters stay
-                // bit-identical.
-                let mut cal = EventQueue::new();
-                for cell in cells {
-                    cal.schedule(cell.cell.dx.ct + cell.cell.dy.ct, cell);
-                }
-                let mut first = true;
-                while let Some((key, row)) = cal.pop_stage() {
-                    if !first {
-                        self.close_stage()?;
-                        self.begin_stage("cells");
-                        self.gc(key / 2 - 2 * hb)?;
-                    }
-                    first = false;
-                    for cell in &row {
-                        self.run_cell(cell)?;
-                    }
-                }
-            }
+            last_key = key;
+            self.run_cell(&cell)?;
         }
         self.close_stage()?;
         Ok(())
@@ -599,7 +576,7 @@ impl<'a, P: MeshProgram> Engine2<'a, P> {
                 n: spec.n,
                 m: spec.m,
                 p: spec.p,
-                steps: steps.max(0) as u64,
+                steps: steps as u64,
             },
             self.clock.parallel_time,
             guest_time,

@@ -30,10 +30,20 @@ struct Outcome {
 /// its dimension: 64 nodes (p = 8 on the line, 4 on the mesh, 1 for the
 /// uniprocessor engines) or the 3 × 3 × 3 cube.
 fn run_engine(engine: Engine, opts: RunOpts) -> Result<SimReport, SimError> {
+    let steps = match engine.dim() {
+        1 if engine == Engine::Dnc1 => 16,
+        1 => 32,
+        2 => 8,
+        _ => 3,
+    };
+    run_engine_for(engine, steps, opts)
+}
+
+/// [`run_engine`]'s configuration at an explicit step count.
+fn run_engine_for(engine: Engine, steps: i64, opts: RunOpts) -> Result<SimReport, SimError> {
     let p = |multi| if engine.uniprocessor_only() { 1 } else { multi };
     match engine.dim() {
         1 => {
-            let steps = if engine == Engine::Dnc1 { 16 } else { 32 };
             let spec = MachineSpec::new(1, 64, p(8), 1);
             let init = inputs::random_bits(0xC0DE, 64);
             run_linear(engine, &spec, &Eca::rule110(), &init, steps, opts)
@@ -41,11 +51,18 @@ fn run_engine(engine: Engine, opts: RunOpts) -> Result<SimReport, SimError> {
         2 => {
             let spec = MachineSpec::new(2, 64, p(4), 1);
             let init = inputs::random_bits(0xC0DE + 1, 64);
-            run_mesh(engine, &spec, &VonNeumannLife::fredkin(), &init, 8, opts)
+            run_mesh(
+                engine,
+                &spec,
+                &VonNeumannLife::fredkin(),
+                &init,
+                steps,
+                opts,
+            )
         }
         _ => {
             let init = inputs::random_bits(0xC0DE + 2, 27);
-            run_volume(engine, 3, &Parity3d, &init, 3, opts)
+            run_volume(engine, 3, &Parity3d, &init, steps, opts)
         }
     }
 }
@@ -223,6 +240,40 @@ fn none_plan_is_bitwise_neutral_on_all_engines() {
         assert_eq!(plain.stages, none.stages, "{engine}: stage count drifted");
         assert_eq!(plain.mem, none.mem);
         assert_eq!(plain.values, none.values);
+    }
+}
+
+/// A negative step count is caller input, not a broken invariant:
+/// every engine runs it as the zero-step run, bit for bit.
+#[test]
+fn negative_steps_run_as_zero_steps_on_all_engines() {
+    for engine in Engine::ALL {
+        let run = |steps| {
+            run_engine_for(engine, steps, RunOpts::default())
+                .unwrap_or_else(|e| panic!("{engine}: steps = {steps} must not error: {e}"))
+        };
+        let (zero, neg) = (run(0), run(-2));
+        let bits = |r: &SimReport| {
+            let m = &r.meter;
+            [
+                r.host_time,
+                r.guest_time,
+                m.compute,
+                m.access,
+                m.transfer,
+                m.comm,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&neg), bits(&zero), "{engine}: clocks or meters differ");
+        assert_eq!(
+            (neg.meter.ops, neg.space, neg.stages),
+            (zero.meter.ops, zero.space, zero.stages),
+            "{engine}: ops, space or stages differ"
+        );
+        assert_eq!(neg.faults, zero.faults, "{engine}: fault counters differ");
+        assert_eq!(neg.mem, zero.mem, "{engine}: memory image differs");
+        assert_eq!(neg.values, zero.values, "{engine}: values differ");
     }
 }
 
